@@ -78,11 +78,11 @@ def _subgraph_anchor(sub: PoseGraph, separators) -> int:
 
 
 def _pose_minus(pose: Pose2, ref: Pose2) -> np.ndarray:
-    return np.array([wrap_angle(pose.theta - ref.theta), pose.x - ref.x, pose.y - ref.y])
+    return np.array([pose.x - ref.x, pose.y - ref.y, wrap_angle(pose.theta - ref.theta)])
 
 
 def _pose_plus(pose: Pose2, delta) -> Pose2:
-    return Pose2(pose.x + delta[1], pose.y + delta[2], pose.theta + delta[0])
+    return Pose2(pose.x + delta[0], pose.y + delta[1], pose.theta + delta[2])
 
 
 def admm_consensus(
@@ -114,6 +114,7 @@ def admm_consensus(
         )
         for vid, holders in sep_holders.items()
     }
+    # scaled duals, pose differences (dx, dy, dtheta)
     u = {(vid, b): np.zeros(3) for vid, holders in sep_holders.items() for b in holders}
 
     rho = cfg.rho
@@ -126,17 +127,7 @@ def admm_consensus(
         for b, sub in enumerate(part.subgraphs):
             local_seps = [vid for vid in sorted(sub.vertices) if vid in sep_set]
             priors = tuple(
-                PriorFactor(
-                    vid,
-                    np.array(
-                        [
-                            wrap_angle(z[vid].theta - u[(vid, b)][0]),
-                            z[vid].x - u[(vid, b)][1],
-                            z[vid].y - u[(vid, b)][2],
-                        ]
-                    ),
-                    sqrt_w,
-                )
+                PriorFactor(vid, _pose_plus(z[vid], -u[(vid, b)]).as_vector(), sqrt_w)
                 for vid in local_seps
                 if b in sep_holders[vid]
             )

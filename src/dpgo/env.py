@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Pose2, compose, se2_exp
-from .graph import GraphError, PoseGraph, measurement_discrepancy, truth_relative
+from .graph import GraphError, PoseGraph, graph_arrays, se2_residuals
 from .nn.encoder import GraphSnapshot, snapshot_from_graph
 from .partition import Partition, partition
 
@@ -78,11 +78,8 @@ class PoseGraphEnv:
         self.snapshots: list[GraphSnapshot] = []
         self._gids: list[list[int]] = []
         self._infos: list[np.ndarray] = []
-        self._truth_rel: list[np.ndarray] = []
+        self._truth_ends: list[tuple[np.ndarray, np.ndarray]] = []
         for b, sub in enumerate(self.part.subgraphs):
-            order = sorted(range(len(sub.edges)), key=lambda i: self.part.edge_gids[b][i])
-            edges = [sub.edges[i] for i in order]
-            gids = [self.part.edge_gids[b][i] for i in order]
             snap = snapshot_from_graph(sub, edge_order=self.part.edge_gids[b])
             if selector_capacity is not None and snap.n_edges > selector_capacity:
                 raise GraphError(
@@ -90,14 +87,10 @@ class PoseGraphEnv:
                     f"selector capacity is {selector_capacity}"
                 )
             self.snapshots.append(snap)
-            self._gids.append(gids)
-            self._infos.append(
-                np.array([np.asarray(e.info) for e in edges]).reshape(-1, 3, 3)
-            )
-            if not self.reward_free:
-                self._truth_rel.append(
-                    np.array([truth_relative(sub, e).as_vector() for e in edges]).reshape(-1, 3)
-                )
+            self._gids.append(sorted(self.part.edge_gids[b]))
+            a = graph_arrays(sub, edge_order=self.part.edge_gids[b])
+            self._infos.append(np.array([e.info for e in a.edges]).reshape(-1, 3, 3))
+            self._truth_ends.append((a.truths[a.e_from], a.truths[a.e_to]))
         self.reset()
 
     # -- episode control ------------------------------------------------------
@@ -129,14 +122,11 @@ class PoseGraphEnv:
     def local_errors(self) -> np.ndarray:
         return self._l.copy()
 
-    def _edge_terms(self, b: int) -> np.ndarray:
-        terms = np.empty(self.snapshots[b].n_edges)
-        for i in range(terms.shape[0]):
-            r = measurement_discrepancy(
-                Pose2(*self.meas[b][i]), Pose2(*self._truth_rel[b][i])
-            )
-            terms[i] = float(r @ self._infos[b][i] @ r)
-        return terms
+    def _edge_terms(self, b: int, rows=slice(None)) -> np.ndarray:
+        """Information-weighted measurement-vs-truth error of robot b's edges."""
+        tp, tq = self._truth_ends[b]
+        r = se2_residuals(tp[rows], tq[rows], self.meas[b][rows])
+        return np.einsum("ei,eij,ej->e", r, self._infos[b][rows], r)
 
     def clamp_delta(self, delta) -> np.ndarray:
         d = np.asarray(delta, dtype=float).copy()
@@ -170,8 +160,7 @@ class PoseGraphEnv:
             self.masks[b][e] = False
             if not self.reward_free:
                 l_prev = float(self._l[b])
-                r = measurement_discrepancy(new_rel, Pose2(*self._truth_rel[b][e]))
-                new_term = float(r @ self._infos[b][e] @ r)
+                new_term = float(self._edge_terms(b, [e])[0])
                 self._l[b] = l_prev - self._terms[b][e] + new_term
                 self._terms[b][e] = new_term
                 gains[b] = (l_prev - self._l[b]) / (l_prev + eps)
@@ -219,20 +208,6 @@ class PoseGraphEnv:
                     e.from_id, e.to_id, Pose2(*self.meas[b][i]), e.info, e.origin
                 )
         return g
-
-    def corrected_partition(self) -> Partition:
-        """Partition whose subgraph edges carry the corrected measurements."""
-        subs = []
-        for b, sub in enumerate(self.part.subgraphs):
-            s = sub.copy()
-            order = sorted(range(len(sub.edges)), key=lambda i: self.part.edge_gids[b][i])
-            for i, local in enumerate(order):
-                e = s.edges[local]
-                s.edges[local] = type(e)(
-                    e.from_id, e.to_id, Pose2(*self.meas[b][i]), e.info, e.origin
-                )
-            subs.append(s)
-        return Partition(subs, dict(self.part.owner), dict(self.part.separators), [list(g) for g in self.part.edge_gids])
 
     def export_trace(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -21,6 +21,8 @@ labeled odometry and everything else intra-robot loop closure.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import Pose2
@@ -35,18 +37,12 @@ class ParseError(GraphError):
 
 
 def _info_to_internal(m_file: np.ndarray) -> np.ndarray:
-    m = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            m[i, j] = m_file[_TO_FILE[i], _TO_FILE[j]]
-    return m
+    return m_file[np.ix_(_TO_FILE, _TO_FILE)]
 
 
 def _info_to_file(m_int: np.ndarray) -> np.ndarray:
     m = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            m[_TO_FILE[i], _TO_FILE[j]] = m_int[i, j]
+    m[np.ix_(_TO_FILE, _TO_FILE)] = m_int
     return m
 
 
@@ -149,6 +145,9 @@ def _parse_int(token: str, lineno: int) -> int:
 
 def _parse_float(token: str, lineno: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError as exc:
         raise ParseError(f"line {lineno}: expected number, got {token!r}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"line {lineno}: expected a finite number, got {token!r}")
+    return value

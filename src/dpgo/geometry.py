@@ -2,10 +2,15 @@
 
 Conventions used throughout the package:
 
-* angles live in ``(-pi, pi]`` and are re-wrapped after every operation;
-* pose increments ("twists") are ordered ``(dx, dy, dtheta)`` to match the
-  action layout of the refinement environment;
-* residual 3-vectors are ordered ``(dtheta, dx, dy)`` (see :mod:`dpgo.graph`).
+* angles live in ``(-pi, pi]``; :func:`wrap_angle` is the one wrap, applied
+  after every operation;
+* pose arrays are ordered ``(x, y, theta)``: vertex states, measurements,
+  twists, prior targets, consensus duals, environment and encoder arrays and
+  :meth:`Pose2.as_vector`;
+* residual and information arrays are ordered ``(theta, x, y)``: the edge
+  residual of :func:`dpgo.graph.se2_residuals` is ``(dtheta, dx, dy)`` and
+  information matrices follow it (g2o files order them ``(x, y, theta)``;
+  :mod:`dpgo.g2o_io` permutes at the boundary).
 """
 
 from __future__ import annotations

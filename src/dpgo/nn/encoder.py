@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from ..graph import EdgeOrigin, PoseGraph
+from ..graph import EdgeOrigin, PoseGraph, graph_arrays, se2_residuals
 from . import autodiff as ad
 from .autodiff import Tensor, constant
 
@@ -121,52 +121,33 @@ def snapshot_from_graph(g: PoseGraph, edge_order=None) -> GraphSnapshot:
     aggregation sums in this order, making forward passes bit-reproducible
     under input permutations.
     """
-    vids = sorted(g.vertices)
-    index = {vid: i for i, vid in enumerate(vids)}
-    node_xyt = np.array([g.vertices[v].estimate.as_vector() for v in vids]).reshape(-1, 3)
-    node_feat = np.zeros((len(vids), NODE_DIM))
+    a = graph_arrays(g, edge_order)
+    node_xyt, edges, e_from = a.estimates, a.edges, a.e_from
+    node_feat = np.zeros((len(a.vids), NODE_DIM))
     node_feat[:, 0] = node_xyt[:, 0]
     node_feat[:, 1] = node_xyt[:, 1]
     node_feat[:, 2] = np.sin(node_xyt[:, 2])
     node_feat[:, 3] = np.cos(node_xyt[:, 2])
 
-    order = list(range(len(g.edges)))
-    if edge_order is not None:
-        order = sorted(order, key=lambda i: edge_order[i])
-    edges = [g.edges[i] for i in order]
-    e_from = np.array([index[e.from_id] for e in edges], dtype=np.intp)
-    e_to = np.array([index[e.to_id] for e in edges], dtype=np.intp)
     origins = np.array([int(e.origin) for e in edges], dtype=np.intp)
-    loginfo = (
-        np.log(np.array([np.diag(np.asarray(e.info)) for e in edges]).reshape(-1, 3))
-        if edges
-        else np.zeros((0, 3))
-    )
+    loginfo = np.log(np.array([e.info for e in edges]).reshape(-1, 3, 3).diagonal(axis1=1, axis2=2))
     gaps = np.array(
         [abs(g.vertices[e.from_id].timestep - g.vertices[e.to_id].timestep) for e in edges],
         dtype=float,
     )
-    meas0 = np.array([e.rel.as_vector() for e in edges]).reshape(-1, 3)
 
-    n, m = len(vids), len(edges)
+    n, m = len(a.vids), len(edges)
     deg = np.zeros(n)
     np.add.at(deg, e_from, 1.0)
     vals = 1.0 / deg[e_from] if m else np.zeros(0)
     agg = sp.csr_matrix((vals, (e_from, np.arange(m))), shape=(n, m))
-    return GraphSnapshot(vids, node_xyt, node_feat, e_from, e_to, origins, loginfo, gaps, meas0, agg)
+    return GraphSnapshot(a.vids, node_xyt, node_feat, e_from, a.e_to, origins, loginfo, gaps, a.meas, agg)
 
 
 def edge_residuals(snapshot: GraphSnapshot, meas: np.ndarray) -> np.ndarray:
     """(E, 3) residuals (dtheta, dx, dy) of measurements vs node estimates."""
-    xp = snapshot.node_xyt[snapshot.edge_from]
-    xq = snapshot.node_xyt[snapshot.edge_to]
-    dtheta = xq[:, 2] - xp[:, 2] - meas[:, 2]
-    dtheta = np.mod(dtheta, 2 * math.pi)
-    dtheta = np.where(dtheta > math.pi, dtheta - 2 * math.pi, dtheta)
-    c, s = np.cos(xp[:, 2]), np.sin(xp[:, 2])
-    dx = xq[:, 0] - xp[:, 0]
-    dy = xq[:, 1] - xp[:, 1]
-    return np.stack([dtheta, c * dx + s * dy - meas[:, 0], -s * dx + c * dy - meas[:, 1]], axis=1)
+    xyt = snapshot.node_xyt
+    return se2_residuals(xyt[snapshot.edge_from], xyt[snapshot.edge_to], meas)
 
 
 def edge_attribute_matrix(snapshot: GraphSnapshot, meas: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Pose2, wrap_angle
-from .graph import GraphError, PoseGraph, Vertex
+from .geometry import Pose2, wrap_angle  # noqa: F401  perfbench counts wrap_angle calls per importing module
+from .graph import GraphError, PoseGraph, adjacency, components, is_connected
 
 
 class DisconnectedInput(GraphError):
@@ -43,31 +43,6 @@ class Partition:
     @property
     def n_blocks(self) -> int:
         return len(self.subgraphs)
-
-
-def _adjacency(g: PoseGraph) -> dict[int, dict[int, float]]:
-    adj: dict[int, dict[int, float]] = {vid: {} for vid in g.vertices}
-    for e in g.edges:
-        adj[e.from_id][e.to_id] = adj[e.from_id].get(e.to_id, 0.0) + 1.0
-        adj[e.to_id][e.from_id] = adj[e.to_id].get(e.from_id, 0.0) + 1.0
-    return adj
-
-
-def _is_connected(adj: dict[int, dict[int, float]], nodes=None) -> bool:
-    nodes = set(adj.keys()) if nodes is None else set(nodes)
-    if not nodes:
-        return True
-    seen = set()
-    queue = deque([next(iter(sorted(nodes)))])
-    while queue:
-        u = queue.popleft()
-        if u in seen:
-            continue
-        seen.add(u)
-        for v in adj[u]:
-            if v in nodes and v not in seen:
-                queue.append(v)
-    return seen == nodes
 
 
 def _heavy_edge_matching(nodes, adj, weights):
@@ -188,7 +163,7 @@ def _repair_connectivity(assign, adj, n):
             members = sorted(u for u, blk in assign.items() if blk == b)
             if not members:
                 continue
-            comps = _components(members, adj)
+            comps = components(members, adj)
             if len(comps) <= 1:
                 continue
             comps.sort(key=len, reverse=True)
@@ -206,26 +181,6 @@ def _repair_connectivity(assign, adj, n):
         if not changed:
             return assign
     return assign
-
-
-def _components(members, adj):
-    members = set(members)
-    comps, seen = [], set()
-    for root in sorted(members):
-        if root in seen:
-            continue
-        comp, queue = [], deque([root])
-        while queue:
-            u = queue.popleft()
-            if u in seen:
-                continue
-            seen.add(u)
-            comp.append(u)
-            for v in adj[u]:
-                if v in members and v not in seen:
-                    queue.append(v)
-        comps.append(comp)
-    return comps
 
 
 def _rebalance_connected(assign, adj, weights, n, cap):
@@ -252,7 +207,7 @@ def _rebalance_connected(assign, adj, weights, n, cap):
             if sizes[tb] + weights[u] > cap:
                 continue
             rest = [v for v in members if v != u]
-            if rest and not _is_connected(adj, rest):
+            if rest and not is_connected(adj, rest):
                 continue
             assign[u] = tb
             sizes[b] -= weights[u]
@@ -274,8 +229,8 @@ def partition(g: PoseGraph, n: int, balance_tol: float = 0.15) -> Partition:
         raise ValueError("n must be >= 1")
     if n > g.num_vertices:
         raise ValueError("more blocks than vertices")
-    adj = _adjacency(g)
-    if not _is_connected(adj):
+    adj = adjacency(g)
+    if not is_connected(adj):
         raise DisconnectedInput("input pose graph is not connected")
 
     if n == 1:

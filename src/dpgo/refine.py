@@ -1,11 +1,13 @@
 """Levenberg-Marquardt refinement of pose-graph estimates.
 
 Minimizes the global objective (rotation/translation-weighted squared
-residuals) by damped Gauss-Newton steps with analytic Jacobians, assembling
-sparse normal equations and solving them with a fill-reducing sparse LU.
-Variables are ordered (theta, x, y) per vertex; one vertex is anchored to
-remove the gauge freedom. Optional prior factors (used by the consensus
-layer) pull selected vertices toward target poses.
+residuals of :func:`dpgo.graph.se2_residuals`) by damped Gauss-Newton steps
+with analytic Jacobians, assembling sparse normal equations and solving them
+with a fill-reducing sparse LU. The state is the (N, 3) pose array
+(x, y, theta) of the vertices in sorted id order, so each variable block is
+(x, y, theta) while residual rows are (dtheta, dx, dy). One vertex is
+anchored to remove the gauge freedom. Optional prior factors (used by the
+consensus layer) pull selected vertices toward target poses.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import Pose2, wrap_angle
-from .graph import GraphError, PoseGraph, ResidualWeights
+from .graph import GraphError, PoseGraph, ResidualWeights, graph_arrays, se2_residuals
 
 
 class SingularNormalEquations(GraphError):
@@ -54,98 +56,58 @@ class PriorFactor:
     """Quadratic pull ||sqrt_weight @ (x (-) target)||^2 on one vertex."""
 
     vertex: int
-    target: np.ndarray  # (theta, x, y)
-    sqrt_weight: np.ndarray  # (3, 3)
+    target: np.ndarray  # pose (x, y, theta)
+    sqrt_weight: np.ndarray  # (3, 3), acting on the pose difference (dx, dy, dtheta)
 
 
 @dataclass
 class LMResult:
     graph: PoseGraph
     iterates: list[LMIterate]
-    hessian: sp.csr_matrix  # data-term Gauss-Newton Hessian at the final estimate
-    var_index: dict[int, int]  # vertex id -> variable block (anchor excluded)
     anchor: int
 
 
-def _state(g: PoseGraph, vids) -> np.ndarray:
-    x = np.empty((len(vids), 3))
-    for i, vid in enumerate(vids):
-        est = g.vertices[vid].estimate
-        x[i] = (est.theta, est.x, est.y)
-    return x
-
-
-def _edge_arrays(g: PoseGraph, index):
-    e_from = np.array([index[e.from_id] for e in g.edges], dtype=np.intp)
-    e_to = np.array([index[e.to_id] for e in g.edges], dtype=np.intp)
-    meas = np.array([(e.rel.theta, e.rel.x, e.rel.y) for e in g.edges]).reshape(-1, 3)
-    return e_from, e_to, meas
-
-
 def _residuals_jacobians(x, e_from, e_to, meas, w: ResidualWeights):
-    """Weighted residuals (E, 3) and Jacobian blocks A, B (E, 3, 3)."""
-    xp, xq = x[e_from], x[e_to]
-    th = xp[:, 0]
-    c, s = np.cos(th), np.sin(th)
-    dx = xq[:, 1] - xp[:, 1]
-    dy = xq[:, 2] - xp[:, 2]
-    dth = xq[:, 0] - xp[:, 0] - meas[:, 0]
-    dth = np.mod(dth, 2 * math.pi)
-    dth = np.where(dth > math.pi, dth - 2 * math.pi, dth)
+    """Weighted residuals (E, 3) and their Jacobian blocks A, B (E, 3, 3)
+    with respect to the source and target poses (x, y, theta)."""
+    xp = x[e_from]
     wr, wt = w.w_rot, w.w_trans
-    r = np.stack(
-        [wr * dth, wt * (c * dx + s * dy - meas[:, 1]), wt * (-s * dx + c * dy - meas[:, 2])],
-        axis=1,
-    )
-    n = len(e_from)
-    a = np.zeros((n, 3, 3))
-    b = np.zeros((n, 3, 3))
-    a[:, 0, 0] = -wr
-    a[:, 1, 0] = wt * (-s * dx + c * dy)
-    a[:, 2, 0] = wt * (-c * dx - s * dy)
-    a[:, 1, 1] = -wt * c
-    a[:, 1, 2] = -wt * s
-    a[:, 2, 1] = wt * s
-    a[:, 2, 2] = -wt * c
-    b[:, 0, 0] = wr
-    b[:, 1, 1] = wt * c
-    b[:, 1, 2] = wt * s
-    b[:, 2, 1] = -wt * s
-    b[:, 2, 2] = wt * c
+    r = se2_residuals(xp, x[e_to], meas)
+    # R_p^T (t_q - t_p): the residual's translation plus the measured one
+    tx, ty = r[:, 1] + meas[:, 0], r[:, 2] + meas[:, 1]
+    r *= np.array([wr, wt, wt])
+    c, s = np.cos(xp[:, 2]), np.sin(xp[:, 2])
+    b = np.zeros((len(e_from), 3, 3))
+    b[:, 0, 2] = wr
+    b[:, 1, 0], b[:, 1, 1] = wt * c, wt * s
+    b[:, 2, 0], b[:, 2, 1] = -wt * s, wt * c
+    a = -b
+    a[:, 1, 2] = wt * ty
+    a[:, 2, 2] = -wt * tx
     return r, a, b
 
 
-def _objective_value(x, e_from, e_to, meas, w, priors, index):
-    r, _, _ = _residuals_jacobians(x, e_from, e_to, meas, w)
-    total = float((r * r).sum())
-    for p in priors:
-        i = index[p.vertex]
-        d = x[i] - p.target
-        d[0] = wrap_angle(d[0])
-        rp = p.sqrt_weight @ d
-        total += float(rp @ rp)
-    return total
+def _prior_residuals(x, rows, targets, sqrt_w):
+    """Weighted prior residuals (P, 3): sqrt_weight @ (x (-) target)."""
+    d = x[rows] - targets
+    d[:, 2] = wrap_angle(d[:, 2])
+    return np.einsum("pij,pj->pi", sqrt_w, d)
 
 
-def _block_indices(free_of, blocks):
-    cols = np.empty(len(blocks) * 3, dtype=np.intp)
-    for k, blk in enumerate(blocks):
-        cols[3 * k : 3 * k + 3] = free_of[blk] * 3 + np.arange(3)
-    return cols
+def _objective_value(x, e_from, e_to, meas, w, prior):
+    r = se2_residuals(x[e_from], x[e_to], meas) * np.array([w.w_rot, w.w_trans, w.w_trans])
+    rp = _prior_residuals(x, *prior)
+    return float((r * r).sum()) + float((rp * rp).sum())
 
 
-def _assemble(x, e_from, e_to, meas, w, priors, index, free_of, n_free):
+def _assemble(x, e_from, e_to, meas, w, prior, free_of, n_free):
     r, a, b = _residuals_jacobians(x, e_from, e_to, meas, w)
-    at_a = np.einsum("eji,ejk->eik", a, a)
-    at_b = np.einsum("eji,ejk->eik", a, b)
-    bt_b = np.einsum("eji,ejk->eik", b, b)
-    at_r = np.einsum("eji,ej->ei", a, r)
-    bt_r = np.einsum("eji,ej->ei", b, r)
+    p_rows, _, sqrt_w = prior
+    rp = _prior_residuals(x, *prior)
+    fp, fq, fprior = free_of[e_from], free_of[e_to], free_of[p_rows]
 
     rows, cols, vals = [], [], []
     grad = np.zeros(n_free * 3)
-    fp = free_of[e_from]
-    fq = free_of[e_to]
 
     def add_block(fi, fj, block):
         sel = (fi >= 0) & (fj >= 0)
@@ -157,27 +119,16 @@ def _assemble(x, e_from, e_to, meas, w, priors, index, free_of, n_free):
         cols.append(j3)
         vals.append(block[sel].reshape(-1))
 
-    add_block(fp, fp, at_a)
+    at_b = np.einsum("eji,ejk->eik", a, b)
+    add_block(fp, fp, np.einsum("eji,ejk->eik", a, a))
     add_block(fp, fq, at_b)
     add_block(fq, fp, np.transpose(at_b, (0, 2, 1)))
-    add_block(fq, fq, bt_b)
-    for sel_idx, contrib in ((fp, at_r), (fq, bt_r)):
+    add_block(fq, fq, np.einsum("eji,ejk->eik", b, b))
+    add_block(fprior, fprior, np.einsum("pji,pjk->pik", sqrt_w, sqrt_w))
+    for sel_idx, jac, res in ((fp, a, r), (fq, b, r), (fprior, sqrt_w, rp)):
         ok = sel_idx >= 0
-        np.add.at(grad, (sel_idx[ok, None] * 3 + np.arange(3)[None, :]).reshape(-1), contrib[ok].reshape(-1))
-
-    for p in priors:
-        fi = free_of[index[p.vertex]]
-        if fi < 0:
-            continue
-        d = x[index[p.vertex]] - p.target
-        d[0] = wrap_angle(d[0])
-        rp = p.sqrt_weight @ d
-        h = p.sqrt_weight.T @ p.sqrt_weight
-        i3 = fi * 3 + np.arange(3)
-        rows.append(np.repeat(i3, 3))
-        cols.append(np.tile(i3, 3))
-        vals.append(h.reshape(-1))
-        grad[i3] += p.sqrt_weight.T @ rp
+        contrib = np.einsum("eji,ej->ei", jac[ok], res[ok])
+        np.add.at(grad, (sel_idx[ok, None] * 3 + np.arange(3)[None, :]).reshape(-1), contrib.reshape(-1))
 
     n = n_free * 3
     if rows:
@@ -187,33 +138,6 @@ def _assemble(x, e_from, e_to, meas, w, priors, index, free_of, n_free):
     else:
         h_mat = sp.csc_matrix((n, n))
     return h_mat, grad
-
-
-def _data_hessian(x, e_from, e_to, meas, w, n_vars):
-    """Gauss-Newton Hessian of the measurement terms over ALL vertices."""
-    _, a, b = _residuals_jacobians(x, e_from, e_to, meas, w)
-    at_a = np.einsum("eji,ejk->eik", a, a)
-    at_b = np.einsum("eji,ejk->eik", a, b)
-    bt_b = np.einsum("eji,ejk->eik", b, b)
-    rows, cols, vals = [], [], []
-
-    def add(fi, fj, block):
-        i3 = (fi[:, None] * 3 + np.arange(3)[None, :]).repeat(3, axis=1).reshape(-1)
-        j3 = np.tile(fj[:, None] * 3 + np.arange(3)[None, :], (1, 3)).reshape(-1)
-        rows.append(i3)
-        cols.append(j3)
-        vals.append(block.reshape(-1))
-
-    if len(e_from):
-        add(e_from, e_from, at_a)
-        add(e_from, e_to, at_b)
-        add(e_to, e_from, np.transpose(at_b, (0, 2, 1)))
-        add(e_to, e_to, bt_b)
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_vars * 3, n_vars * 3),
-        ).tocsr()
-    return sp.csr_matrix((n_vars * 3, n_vars * 3))
 
 
 def lm_refine_full(
@@ -226,24 +150,27 @@ def lm_refine_full(
 ) -> LMResult:
     w = weights or ResidualWeights()
     cfg = cfg or LMConfig()
-    vids = sorted(g.vertices)
-    index = {vid: i for i, vid in enumerate(vids)}
+    a = graph_arrays(g)
+    vids, x, e_from, e_to, meas = a.vids, a.estimates, a.e_from, a.e_to, a.meas
     if anchor is None:
         anchor = vids[0]
-    free_vids = [v for v in vids if v != anchor]
+    free = np.flatnonzero(np.array(vids) != anchor)
     free_of = np.full(len(vids), -1, dtype=np.intp)
-    for k, vid in enumerate(free_vids):
-        free_of[index[vid]] = k
-    n_free = len(free_vids)
+    free_of[free] = np.arange(len(free))
+    n_free = len(free)
+    index = {vid: i for i, vid in enumerate(vids)}
+    prior = (
+        np.array([index[p.vertex] for p in priors], dtype=np.intp),
+        np.array([p.target for p in priors], dtype=float).reshape(-1, 3),
+        np.array([p.sqrt_weight for p in priors], dtype=float).reshape(-1, 3, 3),
+    )
 
-    e_from, e_to, meas = _edge_arrays(g, index)
-    x = _state(g, vids)
     iterates: list[LMIterate] = []
-    f_cur = _objective_value(x, e_from, e_to, meas, w, priors, index)
+    f_cur = _objective_value(x, e_from, e_to, meas, w, prior)
     mu = cfg.mu0
     it = 0
     while it < cfg.max_iters and n_free > 0 and (len(e_from) or priors):
-        h_mat, grad = _assemble(x, e_from, e_to, meas, w, priors, index, free_of, n_free)
+        h_mat, grad = _assemble(x, e_from, e_to, meas, w, prior, free_of, n_free)
         if np.abs(grad).max() < cfg.gtol:
             break
         stop = False
@@ -259,12 +186,9 @@ def lm_refine_full(
                 delta = np.zeros(n_free * 3)
             if ok:
                 x_try = x.copy()
-                d3 = delta.reshape(-1, 3)
-                for k, vid in enumerate(free_vids):
-                    i = index[vid]
-                    x_try[i, 0] = wrap_angle(x_try[i, 0] + d3[k, 0])
-                    x_try[i, 1:] += d3[k, 1:]
-                f_try = _objective_value(x_try, e_from, e_to, meas, w, priors, index)
+                x_try[free] += delta.reshape(-1, 3)
+                x_try[free, 2] = wrap_angle(x_try[free, 2])
+                f_try = _objective_value(x_try, e_from, e_to, meas, w, prior)
             else:
                 f_try = math.inf
             step_norm = float(np.linalg.norm(delta))
@@ -284,11 +208,9 @@ def lm_refine_full(
             break
 
     out = g.copy()
-    for vid in vids:
-        i = index[vid]
-        out.vertices[vid].estimate = Pose2(x[i, 1], x[i, 2], x[i, 0])
-    hess = _data_hessian(x, e_from, e_to, meas, w, len(vids))
-    return LMResult(out, iterates, hess, index, anchor)
+    for vid, pose in zip(vids, x.tolist()):
+        out.vertices[vid].estimate = Pose2(*pose)
+    return LMResult(out, iterates, anchor)
 
 
 def lm_refine(

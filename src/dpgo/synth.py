@@ -10,14 +10,13 @@ odometry, so they drift.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Pose2, compose, relative, wrap_angle
-from .graph import EdgeMeasurement, EdgeOrigin, GraphError, PoseGraph
+from .graph import EdgeMeasurement, EdgeOrigin, GraphError, PoseGraph, adjacency, is_connected
 
 PROXIMITY_RADIUS = 2.5  # meters between ground-truth positions
 TURN_PROBABILITY = 0.25
@@ -99,22 +98,6 @@ def _walk(rng, n_steps: int, start: Pose2) -> list[Pose2]:
         y += STEP_LENGTH * math.sin(heading)
         poses.append(Pose2(x, y, heading))
     return poses
-
-
-def _connected(n_vertices: int, edges) -> bool:
-    parent = list(range(n_vertices))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(i) for i in range(n_vertices)}) == 1
 
 
 def generate(spec: GenSpec) -> PoseGraph:
@@ -215,7 +198,7 @@ def _generate_once(spec: GenSpec, rng) -> PoseGraph | None:
             EdgeMeasurement(i, j, _noisy_rel(rel, prof.sigma_inter, rng), _info_for(prof.sigma_inter), origin)
         )
 
-    if not _connected(g.num_vertices, [(e.from_id, e.to_id) for e in g.edges]):
+    if not is_connected(adjacency(g)):
         return None
     return g
 
@@ -249,17 +232,3 @@ def inject_outliers(g: PoseGraph, fraction: float, seed: int) -> tuple[PoseGraph
         corrupted.append(gid)
     return out, frozenset(corrupted)
 
-
-def save_sidecar(g: PoseGraph, path, corrupted=None) -> None:
-    """JSON sidecar with ground truth, origin labels, and corruption set."""
-    payload = {
-        "truth": {
-            str(vid): [v.truth.x, v.truth.y, v.truth.theta]
-            for vid, v in g.vertices.items()
-            if v.truth is not None
-        },
-        "origins": [int(e.origin) for e in g.edges],
-        "corrupted": sorted(corrupted) if corrupted else [],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)

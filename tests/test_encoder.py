@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpgo.geometry import Pose2
-from dpgo.graph import EdgeMeasurement, EdgeOrigin, PoseGraph
+from dpgo.graph import EdgeMeasurement, EdgeOrigin, PoseGraph, edge_residual
 from dpgo.nn import autodiff as ad
 from dpgo.nn.encoder import (
     EncoderConfig,
@@ -226,6 +226,20 @@ def test_isolated_vertex_gets_zero_message(rng):
     snap = snapshot_from_graph(g)
     assert snap.agg.shape == (3, 1)
     assert snap.agg[2].nnz == 0 and snap.agg[1].nnz == 0
+
+
+def test_edge_residuals_match_graph_edge_residual(rng):
+    g = rand_graph(rng, n_poses=12, n_loops=8)
+    order = [int(k) for k in rng.permutation(len(g.edges))]
+    snap = snapshot_from_graph(g, edge_order=order)
+    meas = snap.meas0 + rng.normal(0.0, 0.3, size=snap.meas0.shape)
+    got = edge_residuals(snap, meas)
+    assert got.shape == (len(g.edges), 3)
+    for row, i in enumerate(sorted(range(len(g.edges)), key=lambda i: order[i])):
+        e = g.edges[i]
+        moved = EdgeMeasurement(e.from_id, e.to_id, Pose2(*meas[row]), e.info)
+        want = edge_residual(moved, g.vertices[e.from_id].estimate, g.vertices[e.to_id].estimate)
+        assert np.abs(got[row] - want).max() < 1e-12
 
 
 def test_forward_bit_reproducible_under_edge_permutation(rng):

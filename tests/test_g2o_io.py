@@ -90,6 +90,18 @@ def test_non_psd_information_is_rejected(tmp_path):
         load_g2o(path)
 
 
+def test_non_finite_fields_are_rejected_with_line_numbers(tmp_path):
+    path = tmp_path / "nonfinite.g2o"
+    path.write_text("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 nan\n")
+    with pytest.raises(ParseError, match="line 2: expected a finite number"):
+        load_g2o(path)
+    vertices = "VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\n"
+    for edge in ("EDGE_SE2 0 1 inf 0 0 1 0 0 1 0 1", "EDGE_SE2 0 1 1 0 0 1 0 0 1 0 -inf"):
+        path.write_text(vertices + edge + "\n")
+        with pytest.raises(ParseError, match="line 3: expected a finite number"):
+            load_g2o(path)
+
+
 DATASET_DIR = os.environ.get("DPGO_DATASET_DIR", "datasets")
 
 

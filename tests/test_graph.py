@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpgo.geometry import Pose2, compose, relative, wrap_angle
 from dpgo.graph import (
@@ -14,8 +16,8 @@ from dpgo.graph import (
     ResidualWeights,
     edge_residual,
     localization_error,
-    measurement_discrepancy,
     objective,
+    se2_residuals,
     truth_relative,
 )
 
@@ -75,10 +77,31 @@ def test_edge_residual_consistent_random_edge():
 
 def test_edge_residual_matches_dense_oracle():
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        xp, xq = rand_pose(rng), rand_pose(rng)
-        e = EdgeMeasurement(0, 1, rand_pose(rng), rand_info(rng))
+    cases = [(rand_pose(rng), rand_pose(rng), rand_pose(rng)) for _ in range(100)]
+    # the rotation wraps across +-pi: measured pi - 0.05 against a true -pi + 0.05
+    cases.append((Pose2(0, 0, 0), Pose2(0, 0, -math.pi + 0.05), Pose2(0, 0, math.pi - 0.05)))
+    for xp, xq, rel in cases:
+        e = EdgeMeasurement(0, 1, rel, rand_info(rng))
         assert np.abs(edge_residual(e, xp, xq) - naive_residual(e, xp, xq)).max() < 1e-12
+    assert abs(edge_residual(e, xp, xq)[0] - 0.1) < 1e-12
+
+
+_coord = st.floats(-50.0, 50.0)
+_pose = st.builds(Pose2, _coord, _coord, st.floats(-math.pi, math.pi))
+
+
+def _kernel(xp, xq, meas):
+    return se2_residuals(*(np.array([p.as_vector()]) for p in (xp, xq, meas)))[0]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(xp=_pose, xq=_pose, meas=_pose, motion=_pose)
+def test_se2_residuals_zero_when_exact_and_invariant_under_rigid_motion(xp, xq, meas, motion):
+    assert np.abs(_kernel(xp, xq, relative(xp, xq))).max() < 1e-9
+    r0 = _kernel(xp, xq, meas)
+    r1 = _kernel(compose(motion, xp), compose(motion, xq), meas)
+    assert abs(wrap_angle(r1[0] - r0[0])) < 1e-9
+    assert np.abs(r1[1:] - r0[1:]).max() < 1e-9
 
 
 def test_objective_zero_when_consistent():
@@ -151,11 +174,6 @@ def test_localization_error_requires_truth():
         localization_error(g)
 
 
-def test_measurement_discrepancy_wraps_angle():
-    r = measurement_discrepancy(Pose2(0, 0, math.pi - 0.05), Pose2(0, 0, -math.pi + 0.05))
-    assert abs(r[0] - (-0.1)) < 1e-12
-
-
 def test_edge_validation():
     with pytest.raises(GraphError):
         EdgeMeasurement(0, 0, Pose2(0, 0, 0), np.eye(3))
@@ -165,6 +183,22 @@ def test_edge_validation():
         m = np.eye(3)
         m[0, 1] = 0.5  # asymmetric
         EdgeMeasurement(0, 1, Pose2(0, 0, 0), m)
+
+
+def test_non_finite_input_is_rejected():
+    with pytest.raises(GraphError, match="non-finite measurement"):
+        EdgeMeasurement(0, 1, Pose2(math.nan, 0, 0), np.eye(3))
+    info = np.eye(3)
+    info[1, 1] = math.nan
+    with pytest.raises(GraphError, match="non-finite information") as exc:
+        EdgeMeasurement(0, 1, Pose2(0, 0, 0), info)
+    assert not isinstance(exc.value, NonPSDInformation)
+    g = PoseGraph()
+    with pytest.raises(GraphError, match="non-finite estimate"):
+        g.add_vertex(0, estimate=Pose2(0, math.inf, 0))
+    with pytest.raises(GraphError, match="non-finite truth"):
+        g.add_vertex(1, truth=Pose2(0, 0, math.nan))
+    assert g.num_vertices == 0
 
 
 def test_graph_validation():
