@@ -174,6 +174,18 @@ def test_localization_error_requires_truth():
         localization_error(g)
 
 
+def test_measurement_discrepancy_wraps_angle():
+    # measured pi - 0.05 against a true -pi + 0.05: the discrepancy is 0.1, not 2 pi - 0.1
+    truth_rel, meas = Pose2(0, 0, -math.pi + 0.05), Pose2(0, 0, math.pi - 0.05)
+    r = _kernel(Pose2(0, 0, 0), truth_rel, meas)
+    assert abs(r[0] - 0.1) < 1e-12
+    g = PoseGraph()
+    g.add_vertex(0, truth=Pose2(0, 0, 0))
+    g.add_vertex(1, timestep=1, truth=truth_rel)
+    g.add_edge(EdgeMeasurement(0, 1, meas, np.eye(3)))
+    assert abs(localization_error(g) - 0.01) < 1e-12
+
+
 def test_edge_validation():
     with pytest.raises(GraphError):
         EdgeMeasurement(0, 0, Pose2(0, 0, 0), np.eye(3))
