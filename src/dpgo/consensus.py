@@ -1,12 +1,15 @@
 """Consensus over separator poses.
 
-Scaled consensus ADMM (Boyd et al. 2011, section 7.1): each round every robot
+Scaled consensus ADMM (Boyd et al. 2011, section 7.1) over a copy table built
+once: one row per (separator, holding block). The consensus poses z are an
+(S, 3) array, one row per separator, and the scaled duals u a (C, 3) array,
+one row per copy; both are pose arrays (x, y, theta). Each round every robot
 refines its subgraph by LM with quadratic pulls (rho/2 ||x_sep - z + u||^2 in
-local tangent coordinates) on its separator copies, the consensus variable z
-becomes the plain mean of the copies plus their scaled duals, x_b + u_b (angles
-averaged chordally), and the scaled duals integrate the remaining disagreement
-x_b - z. Because z is the mean of x_b + u_b, the duals of each separator sum to
-zero after every update (the angle duals to first order, since angles are
+local tangent coordinates) on its separator copies, z becomes the plain mean
+of the copies plus their scaled duals, x_b + u_b (angles averaged
+chordally), and the duals integrate the remaining disagreement x_b - z.
+Because z is the mean of x_b + u_b, the duals of each separator sum to zero
+after every update (the angle duals to first order, since angles are
 averaged on the circle), so at a fixed point (x_b = z) the local optimality
 conditions grad f_b = -rho u_b add up to sum_b grad f_b = 0: the result is a
 stationary point of the summed local objectives, and each subgraph's
@@ -42,6 +45,8 @@ class AdmmConfig:
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -53,23 +58,27 @@ class AdmmResult:
     iterations: int
 
 
-def information_weighted_mean(poses, infos) -> Pose2:
-    """Weighted mean of duplicate poses; angles averaged chordally.
+def information_weighted_mean(poses, infos, groups) -> np.ndarray:
+    """Weighted mean of the pose rows in each group; angles averaged chordally.
 
-    ``poses`` are Pose2, ``infos`` 3x3 matrices in (theta, x, y) ordering.
+    ``poses`` is (C, 3) ordered (x, y, theta), ``infos`` (C, 3, 3) ordered
+    (theta, x, y) and ``groups`` (C,) the group index of each row. Returns
+    the (G, 3) means, G = max(groups) + 1; every group needs a row.
     """
-    a = np.full((2, 2), 0.0)
-    bt = np.zeros(2)
-    sin_acc = cos_acc = 0.0
-    for pose, info in zip(poses, infos):
-        wt = np.asarray(info)[1:, 1:] + _RIDGE * np.eye(2)
-        a += wt
-        bt += wt @ np.array([pose.x, pose.y])
-        w_th = float(np.asarray(info)[0, 0]) + _RIDGE
-        sin_acc += w_th * math.sin(pose.theta)
-        cos_acc += w_th * math.cos(pose.theta)
-    t = np.linalg.solve(a, bt)
-    return Pose2(t[0], t[1], math.atan2(sin_acc, cos_acc))
+    poses = np.asarray(poses, dtype=float).reshape(-1, 3)
+    infos = np.asarray(infos, dtype=float).reshape(-1, 3, 3)
+    groups = np.asarray(groups, dtype=np.intp)
+    n = int(groups.max(initial=-1)) + 1
+    wt = infos[:, 1:, 1:] + _RIDGE * np.eye(2)
+    a = np.zeros((n, 2, 2))
+    np.add.at(a, groups, wt)
+    bt = np.zeros((n, 2))
+    np.add.at(bt, groups, np.einsum("cij,cj->ci", wt, poses[:, :2]))
+    w_th = infos[:, 0, 0] + _RIDGE
+    sin_acc = np.bincount(groups, w_th * np.sin(poses[:, 2]), n)
+    cos_acc = np.bincount(groups, w_th * np.cos(poses[:, 2]), n)
+    t = np.linalg.solve(a, bt[:, :, None])[:, :, 0]
+    return np.column_stack([t, wrap_angle(np.arctan2(sin_acc, cos_acc))])
 
 
 def _subgraph_anchor(sub: PoseGraph, separators) -> int:
@@ -77,12 +86,9 @@ def _subgraph_anchor(sub: PoseGraph, separators) -> int:
     return non_sep[0] if non_sep else sorted(sub.vertices)[0]
 
 
-def _pose_minus(pose: Pose2, ref: Pose2) -> np.ndarray:
-    return np.array([pose.x - ref.x, pose.y - ref.y, wrap_angle(pose.theta - ref.theta)])
-
-
-def _pose_plus(pose: Pose2, delta) -> Pose2:
-    return Pose2(pose.x + delta[0], pose.y + delta[1], pose.theta + delta[2])
+def _wrap_theta(poses: np.ndarray) -> np.ndarray:
+    poses[:, 2] = wrap_angle(poses[:, 2])
+    return poses
 
 
 def admm_consensus(
@@ -92,66 +98,45 @@ def admm_consensus(
 ) -> AdmmResult:
     w = weights or ResidualWeights()
     cfg = cfg or AdmmConfig()
-    part = Partition(
-        [s.copy() for s in p.subgraphs], dict(p.owner), dict(p.separators), [list(g) for g in p.edge_gids]
-    )
-    sep_holders = {vid: [b for b, _ in holders] for vid, holders in part.separators.items()}
+    # lm_refine_full returns new graphs and nothing mutates them: shallow copies suffice
+    part = Partition(list(p.subgraphs), dict(p.owner), dict(p.separators), [list(g) for g in p.edge_gids])
     local_cfg = LMConfig(max_iters=cfg.local_max_iters)
+    anchors = [_subgraph_anchor(sub, part.separators) for sub in part.subgraphs]
 
-    if not sep_holders:
-        for b, sub in enumerate(part.subgraphs):
-            res = lm_refine_full(sub, w, local_cfg, anchor=_subgraph_anchor(sub, set()))
-            part.subgraphs[b] = res.graph
-        return AdmmResult({}, part, [0.0], True, 1)
+    # copy table: one row per (separator, holding block), separators in id order
+    sep_ids = sorted(part.separators)
+    copies = [(vid, b) for vid in sep_ids for b in part.separators[vid]]
+    copy_sep = np.repeat(np.arange(len(sep_ids)), [len(part.separators[vid]) for vid in sep_ids])
+    block_rows = [[i for i, (_, cb) in enumerate(copies) if cb == b] for b in range(part.n_blocks)]
+    eye = np.broadcast_to(np.eye(3), (len(copies), 3, 3))
 
-    sep_set = set(sep_holders)
-    anchors = [_subgraph_anchor(sub, sep_set) for sub in part.subgraphs]
+    def copy_poses() -> np.ndarray:
+        ests = [part.subgraphs[b].vertices[vid].estimate for vid, b in copies]
+        return np.array([(e.x, e.y, e.theta) for e in ests]).reshape(-1, 3)
 
-    z = {
-        vid: information_weighted_mean(
-            [part.subgraphs[b].vertices[vid].estimate for b in holders],
-            [np.eye(3)] * len(holders),
-        )
-        for vid, holders in sep_holders.items()
-    }
-    # scaled duals, pose differences (dx, dy, dtheta)
-    u = {(vid, b): np.zeros(3) for vid, holders in sep_holders.items() for b in holders}
+    z = information_weighted_mean(copy_poses(), eye, copy_sep)
+    u = np.zeros((len(copies), 3))
 
     rho = cfg.rho
     history: list[float] = []
     best = None
     converged = False
-    rounds = 0
     for rounds in range(1, cfg.max_iters + 1):
         sqrt_w = math.sqrt(rho / 2.0) * np.eye(3)
+        targets = _wrap_theta(z[copy_sep] - u)
         for b, sub in enumerate(part.subgraphs):
-            local_seps = [vid for vid in sorted(sub.vertices) if vid in sep_set]
-            priors = tuple(
-                PriorFactor(vid, _pose_plus(z[vid], -u[(vid, b)]).as_vector(), sqrt_w)
-                for vid in local_seps
-                if b in sep_holders[vid]
-            )
-            res = lm_refine_full(sub, w, local_cfg, anchor=anchors[b], priors=priors)
-            part.subgraphs[b] = res.graph
+            priors = tuple(PriorFactor(copies[i][0], targets[i], sqrt_w) for i in block_rows[b])
+            part.subgraphs[b] = lm_refine_full(sub, w, local_cfg, anchor=anchors[b], priors=priors).graph
 
-        for vid, holders in sep_holders.items():
-            z[vid] = information_weighted_mean(
-                [_pose_plus(part.subgraphs[b].vertices[vid].estimate, u[(vid, b)]) for b in holders],
-                [np.eye(3)] * len(holders),
-            )
-        disagreement = 0.0
-        for vid, holders in sep_holders.items():
-            for b in holders:
-                diff = _pose_minus(part.subgraphs[b].vertices[vid].estimate, z[vid])
-                u[(vid, b)] = u[(vid, b)] + diff
-                disagreement = max(disagreement, float(np.linalg.norm(diff)))
+        x = copy_poses()
+        z = information_weighted_mean(_wrap_theta(x + u), eye, copy_sep)
+        diff = _wrap_theta(x - z[copy_sep])
+        u += diff
+        disagreement = float(np.linalg.norm(diff, axis=1).max(initial=0.0))
         history.append(disagreement)
         if best is None or disagreement < best[0]:
-            best = (
-                disagreement,
-                {vid: pose for vid, pose in z.items()},
-                [s.copy() for s in part.subgraphs],
-            )
+            # z is rebound and the graphs are replaced each round, never mutated
+            best = (disagreement, z, list(part.subgraphs))
         if disagreement < cfg.tol:
             converged = True
             break
@@ -161,10 +146,9 @@ def admm_consensus(
             and rho < cfg.rho_max
         ):
             rho *= 2.0
-            for key in u:
-                u[key] = u[key] * 0.5
+            u *= 0.5
 
-    if not converged and best is not None:
-        _, z, subs = best
-        part.subgraphs = subs
-    return AdmmResult(dict(z), part, history, converged, rounds)
+    if not converged:
+        _, z, part.subgraphs = best
+    resolved = {vid: Pose2(*pose) for vid, pose in zip(sep_ids, z.tolist())}
+    return AdmmResult(resolved, part, history, converged, rounds)

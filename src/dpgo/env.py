@@ -10,7 +10,6 @@ bonus shared by all robots proportional to log(L_0 / L_T).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -141,9 +140,6 @@ class PoseGraphEnv:
             raise GraphError("episode already finished")
         if len(actions) != self.n_robots:
             raise ValueError("need one action (or None) per robot")
-        rewards = np.zeros(self.n_robots)
-        gains = np.zeros(self.n_robots)
-        eps = self.reward_cfg.epsilon
         for b, action in enumerate(actions):
             if not self.masks[b].any():
                 if action is not None:
@@ -154,6 +150,17 @@ class PoseGraphEnv:
             e = int(action.edge)
             if e < 0 or e >= self.masks[b].shape[0] or not self.masks[b][e]:
                 raise AlreadyProcessedEdge(f"robot {b}: edge {e} is not unprocessed")
+            delta = np.asarray(action.delta, dtype=float)
+            if delta.shape != (3,) or not np.isfinite(delta).all():
+                raise ValueError(f"robot {b}: delta must be 3 finite numbers, got {action.delta!r}")
+        # every action is valid: apply them all
+        rewards = np.zeros(self.n_robots)
+        gains = np.zeros(self.n_robots)
+        eps = self.reward_cfg.epsilon
+        for b, action in enumerate(actions):
+            if action is None:
+                continue
+            e = int(action.edge)
             delta = self.clamp_delta(action.delta)
             new_rel = compose(Pose2(*self.meas[b][e]), se2_exp(delta))
             self.meas[b][e] = new_rel.as_vector()
@@ -208,8 +215,3 @@ class PoseGraphEnv:
                     e.from_id, e.to_id, Pose2(*self.meas[b][i]), e.info, e.origin
                 )
         return g
-
-    def export_trace(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in self.trace:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")

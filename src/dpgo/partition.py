@@ -16,8 +16,6 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .geometry import Pose2, wrap_angle  # noqa: F401  perfbench counts wrap_angle calls per importing module
 from .graph import GraphError, PoseGraph, adjacency, components, is_connected
 
@@ -34,9 +32,9 @@ class UnresolvedSeparator(GraphError):
 class Partition:
     subgraphs: list[PoseGraph]
     owner: dict[int, int]
-    # global vertex id -> [(robot index, local vertex id)]; local ids equal
-    # global ids because subgraphs reuse the global numbering.
-    separators: dict[int, list[tuple[int, int]]]
+    # separator vertex id -> sorted indices of the blocks holding a copy of
+    # it; subgraphs reuse the global vertex numbering.
+    separators: dict[int, list[int]]
     # per subgraph, the global edge index of each local edge (same order)
     edge_gids: list[list[int]] = field(default_factory=list)
 
@@ -280,9 +278,7 @@ def _build_partition(g: PoseGraph, assign: dict[int, int], n: int) -> Partition:
         subgraphs[b].add_edge(e)
         edge_gids[b].append(gid)
 
-    separators = {
-        vid: [(b, vid) for b in sorted(blocks)] for vid, blocks in sorted(dup_blocks.items())
-    }
+    separators = {vid: sorted(blocks) for vid, blocks in sorted(dup_blocks.items())}
     return Partition(subgraphs, dict(assign), separators, edge_gids)
 
 
@@ -315,28 +311,11 @@ def merge(p: Partition, resolved: dict[int, Pose2]) -> PoseGraph:
     return merged
 
 
-def average_separator_estimates(p: Partition) -> dict[int, Pose2]:
-    """Plain average of each separator's duplicate estimates (chordal angles)."""
-    out = {}
-    for vid, holders in p.separators.items():
-        xs, ys, ss, cs = [], [], [], []
-        for b, lid in holders:
-            est = p.subgraphs[b].vertices[lid].estimate
-            xs.append(est.x)
-            ys.append(est.y)
-            ss.append(math.sin(est.theta))
-            cs.append(math.cos(est.theta))
-        out[vid] = Pose2(
-            float(np.mean(xs)), float(np.mean(ys)), math.atan2(float(np.mean(ss)), float(np.mean(cs)))
-        )
-    return out
-
-
 def partition_manifest(p: Partition) -> dict:
     """JSON-serializable description (block membership + separator list)."""
     return {
         "n_blocks": p.n_blocks,
         "owner": {str(vid): b for vid, b in sorted(p.owner.items())},
-        "separators": {str(vid): [b for b, _ in holders] for vid, holders in sorted(p.separators.items())},
+        "separators": {str(vid): list(blocks) for vid, blocks in sorted(p.separators.items())},
         "edges_per_block": [len(gids) for gids in p.edge_gids],
     }

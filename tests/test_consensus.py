@@ -1,9 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from dpgo.consensus import AdmmConfig, admm_consensus, information_weighted_mean
-from dpgo.geometry import Pose2
+from dpgo.geometry import Pose2, wrap_angle
 from dpgo.graph import EdgeMeasurement, EdgeOrigin, PoseGraph
 from dpgo.partition import Partition, merge, partition
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate
@@ -12,7 +13,7 @@ from dpgo.synth import GenSpec, NOISE_PROFILES, generate
 def test_weighted_mean_closed_form():
     poses = [Pose2(0.0, 0.0, 0.0), Pose2(0.2, 0.0, 0.0)]
     infos = [np.diag([1.0, 4.0, 1.0]), np.diag([1.0, 1.0, 1.0])]
-    got = information_weighted_mean(poses, infos)
+    got = Pose2(*information_weighted_mean([p.as_vector() for p in poses], infos, [0, 0])[0])
     assert abs(got.x - x_closed_form((4.0, 0.0), (1.0, 0.2))) < 1e-6
     assert abs(got.y) < 1e-12
 
@@ -23,8 +24,8 @@ def x_closed_form(a, b):
 
 
 def test_weighted_mean_equal_weights_is_midpoint():
-    got = information_weighted_mean(
-        [Pose2(0.0, 1.0, 0.1), Pose2(0.2, 3.0, 0.1)], [np.eye(3), np.eye(3)]
+    got = Pose2(
+        *information_weighted_mean([(0.0, 1.0, 0.1), (0.2, 3.0, 0.1)], [np.eye(3), np.eye(3)], [0, 0])[0]
     )
     assert abs(got.x - 0.1) < 1e-9
     assert abs(got.y - 2.0) < 1e-9
@@ -32,10 +33,19 @@ def test_weighted_mean_equal_weights_is_midpoint():
 
 def test_angle_averaging_on_the_circle():
     # +-(pi - 0.1) must average near +-pi, never near zero
-    got = information_weighted_mean(
-        [Pose2(0, 0, math.pi - 0.1), Pose2(0, 0, -(math.pi - 0.1))], [np.eye(3), np.eye(3)]
-    )
+    poses = [(0, 0, math.pi - 0.1), (0, 0, -(math.pi - 0.1))]
+    got = Pose2(*information_weighted_mean(poses, [np.eye(3), np.eye(3)], [0, 0])[0])
     assert abs(got.theta) > 3.0
+
+
+def test_weighted_mean_groups_match_separate_calls():
+    poses = [(0.0, 1.0, 0.1), (5.0, 0.0, -3.0), (0.2, 3.0, 0.1), (6.0, 1.0, 3.0)]
+    infos = [np.diag([1.0, 2.0, 3.0]), np.eye(3), np.diag([2.0, 1.0, 1.0]), np.diag([4.0, 1.0, 2.0])]
+    got = information_weighted_mean(poses, infos, [0, 1, 0, 1])
+    assert got.shape == (2, 3)
+    for g, rows in enumerate(([0, 2], [1, 3])):
+        one = information_weighted_mean([poses[i] for i in rows], [infos[i] for i in rows], [0, 0])
+        assert np.allclose(got[g], one[0], rtol=0.0, atol=1e-12)
 
 
 def two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1):
@@ -53,10 +63,15 @@ def two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1):
     part = Partition(
         subgraphs=[g0, g1],
         owner={0: 0, 1: 1, 10: 0},
-        separators={10: [(0, 10), (1, 10)]},
+        separators={10: [0, 1]},
         edge_gids=[list(range(n0)), list(range(n0, n0 + n1))],
     )
     return part
+
+
+def test_config_rejects_zero_rounds():
+    with pytest.raises(ValueError):
+        AdmmConfig(max_iters=0)
 
 
 def test_identical_duplicates_converge_immediately():
@@ -110,3 +125,33 @@ def test_disagreement_tail_is_monotone():
     tail = res.disagreement[-10:]
     assert all(b <= a * 1.5 for a, b in zip(tail, tail[1:])), tail
     assert res.disagreement[-1] <= res.disagreement[0]
+
+
+def test_admm_leaves_input_partition_unchanged():
+    g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2))
+    part = partition(g, 3)
+    estimates = [{vid: v.estimate for vid, v in sub.vertices.items()} for sub in part.subgraphs]
+    separators = {vid: list(blocks) for vid, blocks in part.separators.items()}
+    subgraphs = list(part.subgraphs)
+    admm_consensus(part, cfg=AdmmConfig(max_iters=4))
+    assert all(a is b for a, b in zip(part.subgraphs, subgraphs))
+    assert [{vid: v.estimate for vid, v in sub.vertices.items()} for sub in part.subgraphs] == estimates
+    assert part.separators == separators
+
+
+def test_unconverged_result_is_the_best_rounds_snapshot():
+    g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2))
+    part = partition(g, 3)
+    res = admm_consensus(part, cfg=AdmmConfig(max_iters=4))
+    assert not res.converged
+    assert res.iterations == 4
+    # the best round is not the last one, so the snapshot must be taken from an earlier round
+    assert int(np.argmin(res.disagreement)) == 2
+    spread = 0.0
+    for vid, blocks in res.partition.separators.items():
+        z = res.resolved[vid]
+        for b in blocks:
+            x = res.partition.subgraphs[b].vertices[vid].estimate
+            diff = (x.x - z.x, x.y - z.y, wrap_angle(x.theta - z.theta))
+            spread = max(spread, math.hypot(*diff))
+    assert abs(spread - min(res.disagreement)) < 1e-12

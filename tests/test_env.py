@@ -112,6 +112,45 @@ def test_already_processed_edge_raises():
         env.step([Action(0, np.zeros(3))])
 
 
+def env_state(env):
+    return [m.copy() for m in env.masks], [m.copy() for m in env.meas], env.local_errors(), env.t
+
+
+def assert_state_equal(env, before):
+    masks, meas, errors, t = before
+    assert all(np.array_equal(a, b) for a, b in zip(env.masks, masks))
+    assert all(np.array_equal(a, b) for a, b in zip(env.meas, meas))
+    assert np.array_equal(env.local_errors(), errors)
+    assert env.t == t
+
+
+def test_rejected_joint_action_changes_nothing():
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
+    env = PoseGraphEnv(g, 2)
+    obs = env.reset()
+    good = first_unprocessed_actions(obs, delta=np.array([0.1, -0.05, 0.02]))[0]
+    before = env_state(env)
+    # robot 0's action is valid, robot 1 names an edge it does not have
+    with pytest.raises(AlreadyProcessedEdge):
+        env.step([good, Action(obs[1].mask.shape[0], np.zeros(3))])
+    assert_state_equal(env, before)
+
+
+def test_non_finite_or_misshapen_delta_is_rejected():
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
+    env = PoseGraphEnv(g, 2)
+    obs = env.reset()
+    good = first_unprocessed_actions(obs, delta=np.array([0.1, -0.05, 0.02]))[0]
+    before = env_state(env)
+    for delta in ([0.0, math.nan, 0.0], [math.inf, 0.0, 0.0], [0.0, 0.0], np.zeros((1, 3))):
+        with pytest.raises(ValueError):
+            env.step([good, Action(0, np.array(delta))])
+        assert_state_equal(env, before)
+    _, rewards, _, _ = env.step([good, Action(0, np.zeros(3))])
+    assert np.isfinite(rewards).all()
+    assert np.isfinite(env.local_errors()).all()
+
+
 def test_noop_rules():
     g = two_pose_graph()
     env = PoseGraphEnv(g, 1)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from dpgo.consensus import information_weighted_mean
 from dpgo.geometry import Pose2
 from dpgo.graph import EdgeMeasurement, EdgeOrigin, PoseGraph, ResidualWeights, objective
 from dpgo.partition import (
     DisconnectedInput,
     UnresolvedSeparator,
-    average_separator_estimates,
     balance_cap,
     merge,
     partition,
@@ -35,12 +35,21 @@ def recount(g, p):
         bu, bv = p.owner[e.from_id], p.owner[e.to_id]
         if bu != bv:
             for vid in (e.from_id, e.to_id):
-                holders = {b for b, _ in p.separators[vid]}
+                holders = set(p.separators[vid])
                 assert {bu, bv} <= holders
                 for b in holders:
                     assert vid in p.subgraphs[b].vertices
     # ownership covers every vertex exactly once
     assert set(p.owner) == set(g.vertices)
+
+
+def separator_means(p):
+    """Plain mean of each separator's copies (identity information)."""
+    sep_ids = sorted(p.separators)
+    groups = [s for s, vid in enumerate(sep_ids) for _ in p.separators[vid]]
+    poses = [p.subgraphs[b].vertices[vid].estimate.as_vector() for vid in sep_ids for b in p.separators[vid]]
+    means = information_weighted_mean(poses, [np.eye(3)] * len(poses), groups)
+    return {vid: Pose2(*m) for vid, m in zip(sep_ids, means.tolist())}
 
 
 def test_single_block_is_identity(rng):
@@ -130,7 +139,7 @@ def test_merge_requires_resolved_separators(rng):
 def test_merge_preserves_counts_and_uses_resolved(rng):
     g = rand_graph(rng, n_poses=24, n_loops=10)
     p = partition(g, 3)
-    resolved = average_separator_estimates(p)
+    resolved = separator_means(p)
     m = merge(p, resolved)
     assert m.num_vertices == g.num_vertices
     assert m.num_edges == g.num_edges
@@ -143,10 +152,10 @@ def test_merge_objective_matches_blockwise_oracle(rng):
     # duplicate carries the same (resolved) estimate.
     g = rand_graph(rng, n_poses=30, n_loops=12)
     p = partition(g, 3)
-    resolved = average_separator_estimates(p)
+    resolved = separator_means(p)
     for vid, pose in resolved.items():
-        for b, lid in p.separators[vid]:
-            p.subgraphs[b].vertices[lid].estimate = pose
+        for b in p.separators[vid]:
+            p.subgraphs[b].vertices[vid].estimate = pose
     w = ResidualWeights()
     merged = merge(p, resolved)
     blockwise = sum(objective(sub, w) for sub in p.subgraphs)
