@@ -210,8 +210,5 @@ class PoseGraphEnv:
         g = self.graph.copy()
         for b in range(self.n_robots):
             for i, gid in enumerate(self._gids[b]):
-                e = g.edges[gid]
-                g.edges[gid] = type(e)(
-                    e.from_id, e.to_id, Pose2(*self.meas[b][i]), e.info, e.origin
-                )
+                g.edges[gid] = g.edges[gid].with_rel(Pose2(*self.meas[b][i]))
         return g

@@ -10,6 +10,7 @@ and information matrices follow that ordering; pose arrays are
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -74,6 +75,14 @@ class EdgeMeasurement:
         info.setflags(write=False)
         object.__setattr__(self, "info", info)
         object.__setattr__(self, "origin", EdgeOrigin(self.origin))
+
+    def with_rel(self, rel: Pose2) -> EdgeMeasurement:
+        """Copy carrying measurement ``rel``; shares this edge's validated, read-only ``info``."""
+        if not _is_finite(rel):
+            raise GraphError(f"edge {self.from_id}->{self.to_id}: non-finite measurement {rel}")
+        out = copy.copy(self)
+        object.__setattr__(out, "rel", rel)
+        return out
 
 
 @dataclass

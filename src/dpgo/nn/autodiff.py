@@ -1,10 +1,12 @@
 """Tape-based reverse-mode autodiff over numpy arrays.
 
 Deliberately small: only the operators this project's networks need
-(affine maps, batched edge-conditioned matvecs, sparse aggregation,
-sigmoid/tanh/exp/log/softplus, concatenation, reductions, and a
-stretch-clip with a straight-through backward). Everything runs in
-float64.
+(affine maps and matmul, fused edge-conditioned messages ``ecc_messages``
+with a hand-written backward, row gather and aggregation by a constant
+sparse matrix, elementwise sigmoid/tanh/exp/log/softplus/square/abs and
+minimum, concatenation, narrowing, reshape, reductions, a masked
+log-softmax, and stretch-clips with a straight-through or a hard
+backward). Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -208,14 +210,34 @@ def linear(x, w, bias=None):
     return out
 
 
-def bmatvec(w, h):
-    """Batched matvec: w is (E, out, in), h is (E, in) -> (E, out)."""
-    w, h = as_tensor(w), as_tensor(h)
-    out = _make(np.einsum("eoi,ei->eo", w.data, h.data, optimize=True), (w, h), None)
+def ecc_messages(z, h_to, w2, b2, d_out):
+    """Edge-conditioned messages without materializing per-edge weights.
+
+    Edge e's weight matrix is ``reshape(w2 @ z[e] + b2, (d_out, d_in))`` and
+    its message is that matrix times ``h_to[e]``. Because row ``o*d_in + i``
+    of ``w2`` holds ``W[o, i, :]``, the messages of all edges are one GEMM
+    over the outer products ``h_to[e] (x) z[e]`` plus ``h_to @ B.T``:
+    z is (E, K), h_to is (E, d_in), w2 is (d_out*d_in, K), b2 is
+    (d_out*d_in,); the result is (E, d_out). The backward recomputes the
+    outer products instead of keeping them on the tape.
+    """
+    z, h_to, w2, b2 = as_tensor(z), as_tensor(h_to), as_tensor(w2), as_tensor(b2)
+    n_e, k = z.data.shape
+    d_in = h_to.data.shape[1]
+    w = w2.data.reshape(d_out, d_in * k)
+    b = b2.data.reshape(d_out, d_in)
+
+    def outer():
+        return (h_to.data[:, :, None] * z.data[:, None, :]).reshape(n_e, d_in * k)
+
+    out = _make(outer() @ w.T + h_to.data @ b.T, (z, h_to, w2, b2), None)
     if out._parents:
         def bwd(g):
-            w._accum(g[:, :, None] * h.data[:, None, :])
-            h._accum(np.einsum("eoi,eo->ei", w.data, g, optimize=True))
+            w2._accum((g.T @ outer()).reshape(w2.data.shape))
+            b2._accum((g.T @ h_to.data).reshape(b2.data.shape))
+            go = (g @ w).reshape(n_e, d_in, k)
+            z._accum(np.einsum("eik,ei->ek", go, h_to.data))
+            h_to._accum(np.einsum("eik,ek->ei", go, z.data) + g @ b)
         out._bwd = bwd
     return out
 

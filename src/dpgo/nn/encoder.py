@@ -1,12 +1,17 @@
 """Edge-conditioned message passing with adaptive edge gating and GRU memory.
 
-Per layer, a small MLP maps each edge's 11-d attribute vector to a weight
-matrix that projects the target node's embedding into a directed message.
-Messages are scaled by a per-edge gate in [0, 1] (a stretched-and-clipped
-relaxed Bernoulli computed after the first layer's messages and shared by
-the remaining layers), aggregated with a degree-normalized mean at the
-source node, fused with the self embedding through a sigmoid, and mean-
-pooled into a graph latent.
+Per layer, a small MLP conditions a weight matrix on each edge's 11-d
+attribute vector, and that matrix projects the target node's embedding into
+a directed message (edge-conditioned convolution, Simonovsky & Komodakis
+2017). The per-edge matrix stays implicit: its last linear map is folded
+into the message, so ``autodiff.ecc_messages`` computes all messages as one
+product of the edge-hidden (x) target-embedding outer products with the
+weights, and no (E, d_out, d_in) array is ever built. Messages are scaled
+by a per-edge gate in [0, 1] (a stretched-and-clipped relaxed Bernoulli
+computed after the first layer's messages and shared by the remaining
+layers), aggregated with a degree-normalized mean at the source node, fused
+with the self embedding through a sigmoid, and mean-pooled into a graph
+latent.
 """
 
 from __future__ import annotations
@@ -179,6 +184,13 @@ class GraphBatch:
 
 
 def make_batch(snapshots, meas_list) -> GraphBatch:
+    """Pack snapshots, each with its current (E, 3) measurements, into one batch."""
+    if not snapshots:
+        raise ValueError("make_batch needs at least one snapshot")
+    if len(snapshots) != len(meas_list):
+        raise ValueError(
+            f"got {len(snapshots)} snapshots but {len(meas_list)} measurement arrays"
+        )
     node_feats, attrs, ress, loginfos, inters = [], [], [], [], []
     aggs, edge_to = [], []
     node_off = 0
@@ -209,11 +221,11 @@ def make_batch(snapshots, meas_list) -> GraphBatch:
     edge_pool = sp.csr_matrix((np.ones(total_e), (erows, np.arange(total_e))), shape=(g, total_e))
     return GraphBatch(
         node_feat,
-        np.concatenate(edge_to) if edge_to else np.zeros(0, dtype=np.intp),
-        np.concatenate(attrs, axis=0) if attrs else np.zeros((0, EDGE_DIM)),
-        np.concatenate(ress, axis=0) if ress else np.zeros((0, 3)),
-        np.concatenate(loginfos, axis=0) if loginfos else np.zeros((0, 3)),
-        np.concatenate(inters) if inters else np.zeros(0),
+        np.concatenate(edge_to),
+        np.concatenate(attrs, axis=0),
+        np.concatenate(ress, axis=0),
+        np.concatenate(loginfos, axis=0),
+        np.concatenate(inters),
         agg,
         pool,
         edge_pool,
@@ -257,13 +269,14 @@ def encoder_forward(params, cfg: EncoderConfig, batch: GraphBatch, *,
     attr = constant(batch.attr)
     dims = cfg.layer_dims
     for l in range(cfg.n_layers):
-        d_in, d_out = dims[l], dims[l + 1]
+        d_out = dims[l + 1]
         e_hidden = ad.tanh(
             ad.linear(attr, params[f"{prefix}.ecc{l}.edge_w1"], params[f"{prefix}.ecc{l}.edge_b1"])
         )
-        w_flat = ad.linear(e_hidden, params[f"{prefix}.ecc{l}.edge_w2"], params[f"{prefix}.ecc{l}.edge_b2"])
-        w = ad.reshape(w_flat, (-1, d_out, d_in))
-        m = ad.bmatvec(w, ad.gather_rows(h, batch.edge_to))
+        m = ad.ecc_messages(
+            e_hidden, ad.gather_rows(h, batch.edge_to),
+            params[f"{prefix}.ecc{l}.edge_w2"], params[f"{prefix}.ecc{l}.edge_b2"], d_out,
+        )
         if gates is None and (l == 0 or not cfg.shared_gates):
             gates, logits = gate_forward(
                 params, cfg.gate, m, batch.res, batch.loginfo, batch.interloop,

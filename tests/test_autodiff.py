@@ -29,13 +29,27 @@ def test_linear_and_matmul_grads(rng):
     fd_gradcheck(p, loss, rng)
 
 
-def test_bmatvec_grads(rng):
-    p = _params(rng, w=(6, 3, 4), h=(6, 4))
+# edges, edge-hidden width, input and output widths: all different
+E, K, D_IN, D_OUT = 7, 5, 3, 4
+
+
+def test_ecc_messages_grads(rng):
+    p = _params(rng, z=(E, K), h=(E, D_IN), w2=(D_OUT * D_IN, K), b2=(D_OUT * D_IN,))
 
     def loss():
-        return ad.sum_(ad.tanh(ad.bmatvec(p["w"], p["h"])))
+        return ad.sum_(ad.tanh(ad.ecc_messages(p["z"], p["h"], p["w2"], p["b2"], D_OUT)))
 
     fd_gradcheck(p, loss, rng)
+
+
+def test_ecc_messages_matches_dense_oracle(rng):
+    z, h = rng.standard_normal((E, K)), rng.standard_normal((E, D_IN))
+    w2, b2 = rng.standard_normal((D_OUT * D_IN, K)), rng.standard_normal(D_OUT * D_IN)
+    got = ad.ecc_messages(z, h, w2, b2, D_OUT).data
+    assert got.shape == (E, D_OUT)
+    for e in range(E):
+        want = (w2 @ z[e] + b2).reshape(D_OUT, D_IN) @ h[e]
+        assert np.abs(got[e] - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_gather_and_sparse_grads(rng):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,16 @@ def test_single_node_graph(rng):
     assert np.allclose(latent.data[0], h.data[0])
 
 
+def test_make_batch_rejects_empty_or_mismatched_input(rng):
+    snap = snapshot_from_graph(small_graph(rng))
+    with pytest.raises(ValueError, match="at least one snapshot"):
+        make_batch([], [])
+    with pytest.raises(ValueError, match="2 snapshots but 1 measurement"):
+        make_batch([snap, snap], [snap.meas0])
+    with pytest.raises(ValueError, match="1 snapshots but 2 measurement"):
+        make_batch([snap], [snap.meas0, snap.meas0])
+
+
 def test_isolated_vertex_gets_zero_message(rng):
     # last pose of a chain has no outgoing edge -> zero aggregated message
     g = PoseGraph()
@@ -303,6 +314,24 @@ def test_full_encoder_gradients_match_fd(rng):
         return ad.add(ad.sum_(ad.mul(latent, probe)), l1_gate_penalty(gates, 1e-2))
 
     fd_gradcheck(params, loss, rng, coords_per_tensor=6)
+
+
+def test_forward_backward_never_builds_per_edge_weight_matrices(rng):
+    g = rand_graph(rng, n_poses=60, n_loops=60)
+    cfg = EncoderConfig(hidden=64, n_layers=3, edge_hidden=4, gate_hidden=4)
+    snap = snapshot_from_graph(g)
+    batch = make_batch([snap], [snap.meas0])
+    params = init_encoder_params(cfg, rng)
+    one_weight_tensor = snap.n_edges * cfg.hidden * cfg.hidden * 8  # (E, 64, 64) float64
+    tracemalloc.start()
+    try:
+        _, latent, gates, _ = encoder_forward(params, cfg, batch, gate_noise=rng.uniform(size=snap.n_edges))
+        ad.add(ad.sum_(latent), l1_gate_penalty(gates, 1e-3)).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p.grad is not None for p in params.values())
+    assert peak < one_weight_tensor, f"peak {peak} B vs one (E, 64, 64) tensor {one_weight_tensor} B"
 
 
 # -- penalties / pruning --------------------------------------------------------

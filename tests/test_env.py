@@ -5,7 +5,7 @@ import pytest
 
 from dpgo.env import Action, AlreadyProcessedEdge, Observation, PoseGraphEnv, RewardConfig
 from dpgo.geometry import Pose2, compose, se2_exp
-from dpgo.graph import EdgeMeasurement, EdgeOrigin, GraphError, PoseGraph
+from dpgo.graph import EdgeMeasurement, EdgeOrigin, GraphError, PoseGraph, localization_error
 from dpgo.synth import GenSpec, generate
 
 
@@ -236,6 +236,27 @@ def test_current_graph_carries_corrections():
     env.step([Action(0, np.array([0.1, 0.0, 0.0]))])
     g = env.current_graph()
     assert abs(g.edges[0].rel.x - 2.1) < 1e-12
+
+
+def test_current_graph_matches_rebuild_through_constructor():
+    g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=4))
+    env = PoseGraphEnv(g, 3)
+    obs = env.reset()
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        obs, _, _, _ = env.step(first_unprocessed_actions(obs, rng.uniform(-0.2, 0.2, 3)))
+    got = env.current_graph()
+    want = env.graph.copy()
+    for b, gids in enumerate(env._gids):
+        for i, gid in enumerate(gids):
+            e = want.edges[gid]
+            want.edges[gid] = EdgeMeasurement(e.from_id, e.to_id, Pose2(*env.meas[b][i]), e.info, e.origin)
+    assert len(got.edges) == len(want.edges)
+    for a, e in zip(got.edges, want.edges):
+        assert (a.from_id, a.to_id, a.origin, a.rel) == (e.from_id, e.to_id, e.origin, e.rel)
+        assert np.array_equal(a.info, e.info)
+    assert sum(a.rel != e.rel for a, e in zip(got.edges, env.graph.edges)) == 15
+    assert localization_error(got) == localization_error(want)
 
 
 def test_selector_capacity_enforced():

@@ -213,6 +213,19 @@ def test_non_finite_input_is_rejected():
     assert g.num_vertices == 0
 
 
+def test_with_rel_shares_info_and_rejects_non_finite(rng):
+    e = EdgeMeasurement(3, 7, rand_pose(rng), rand_info(rng), EdgeOrigin.INTER_LOOP)
+    rel = rand_pose(rng)
+    moved = e.with_rel(rel)
+    assert moved.rel == rel
+    assert moved.info is e.info and not moved.info.flags.writeable
+    assert (moved.from_id, moved.to_id, moved.origin) == (3, 7, EdgeOrigin.INTER_LOOP)
+    assert e.rel != rel  # the original edge is untouched
+    for bad in (Pose2(math.nan, 0, 0), Pose2(0, math.inf, 0), Pose2(0, 0, math.nan)):
+        with pytest.raises(GraphError, match="non-finite measurement"):
+            e.with_rel(bad)
+
+
 def test_graph_validation():
     g = PoseGraph()
     g.add_vertex(0)
