@@ -25,6 +25,10 @@ TWO_PI = 2.0 * math.pi
 
 def wrap_angle(theta):
     """Wrap an angle (scalar or ndarray) to the half-open interval (-pi, pi]."""
+    if isinstance(theta, float):
+        # float % and np.mod both take fmod and fix its sign alike: bit-identical
+        wrapped = float(theta) % TWO_PI
+        return wrapped - TWO_PI if wrapped > math.pi else wrapped
     wrapped = np.mod(theta, TWO_PI)
     wrapped = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
     if np.ndim(theta) == 0:

@@ -2,8 +2,11 @@
 
 Minimizes the global objective (rotation/translation-weighted squared
 residuals of :func:`dpgo.graph.se2_residuals`) by damped Gauss-Newton steps
-with analytic Jacobians, assembling sparse normal equations and solving them
-with a fill-reducing sparse LU. The state is the (N, 3) pose array
+with analytic Jacobians, solving sparse normal equations with a
+fill-reducing sparse LU. Each solve builds the CSC sparsity pattern of the
+normal equations and the scatter indices into it once; an iteration then
+fills the pattern's values, and each damped try adds the damping at the
+stored diagonal positions only. The state is the (N, 3) pose array
 (x, y, theta) of the vertices in sorted id order, so each variable block is
 (x, y, theta) while residual rows are (dtheta, dx, dy). One vertex is
 anchored to remove the gauge freedom. Optional prior factors (used by the
@@ -65,6 +68,7 @@ class LMResult:
     graph: PoseGraph
     iterates: list[LMIterate]
     anchor: int
+    stop: str  # "gtol", "ftol", "max_iters" or "floor" (no finite step lowers f)
 
 
 def _residuals_jacobians(x, e_from, e_to, meas, w: ResidualWeights):
@@ -100,44 +104,72 @@ def _objective_value(x, e_from, e_to, meas, w, prior):
     return float((r * r).sum()) + float((rp * rp).sum())
 
 
-def _assemble(x, e_from, e_to, meas, w, prior, free_of, n_free):
-    r, a, b = _residuals_jacobians(x, e_from, e_to, meas, w)
-    p_rows, _, sqrt_w = prior
-    rp = _prior_residuals(x, *prior)
-    fp, fq, fprior = free_of[e_from], free_of[e_to], free_of[p_rows]
+class _NormalEquations:
+    """Normal equations ``H d = -g`` of the free variables of one LM solve.
 
-    rows, cols, vals = [], [], []
-    grad = np.zeros(n_free * 3)
+    The CSC pattern of H (int32 indices, with an explicit diagonal entry for
+    every free variable), the scatter indices of the Jacobian-product and
+    prior blocks into H's ``data`` and of their gradient terms into g, and
+    the positions of H's diagonal are built once. Duplicates (parallel edges,
+    several priors on one vertex) are summed by ``np.bincount``; terms on the
+    anchor go to one trailing bin that is dropped.
+    """
 
-    def add_block(fi, fj, block):
-        sel = (fi >= 0) & (fj >= 0)
-        if not sel.any():
-            return
-        i3 = (fi[sel, None] * 3 + np.arange(3)[None, :]).repeat(3, axis=1).reshape(-1)
-        j3 = np.tile(fj[sel, None] * 3 + np.arange(3)[None, :], (1, 3)).reshape(-1)
-        rows.append(i3)
-        cols.append(j3)
-        vals.append(block[sel].reshape(-1))
+    def __init__(self, free_of, n_free, e_from, e_to, prior):
+        p_rows, _, sqrt_w = prior
+        ends = free_of[np.stack([e_from, e_to], axis=1)]  # (E, 2): free index of source, target
+        fprior = free_of[p_rows]
+        k = np.arange(3)
+        free = np.arange(n_free)
+        # block row and column of every 3x3 term: per edge the 2x2 blocks of [A B]^T [A B],
+        # then per prior (v, v); the trailing diagonal blocks only put the diagonal into the pattern
+        n_edge = 4 * len(e_from)
+        bi = np.concatenate([np.repeat(ends, 2, axis=1).ravel(), fprior, free])
+        bj = np.concatenate([np.tile(ends, 2).ravel(), fprior, free])
+        live = (bi >= 0) & (bj >= 0)
+        blocks, which = np.unique(bj[live] * n_free + bi[live], return_inverse=True)
+        col, row = np.divmod(blocks, n_free)
+        per_col = np.bincount(col, minlength=n_free)
+        first = np.concatenate([[0], np.cumsum(per_col)])
+        # entry (i, j) of stored block u: its block column holds 3 columns of 3 * per_col rows each
+        pos = (
+            9 * first[col][:, None, None]
+            + 3 * per_col[col][:, None, None] * k[None, None, :]
+            + 3 * (np.arange(len(blocks)) - first[col])[:, None, None]
+            + k[None, :, None]
+        )
+        self.n = 3 * n_free
+        self.nnz = 9 * len(blocks)
+        self.indptr = np.append(9 * first[:-1, None] + 3 * per_col[:, None] * k, self.nnz).astype(np.int32)
+        self.indices = np.empty(self.nnz, dtype=np.int32)
+        self.indices[pos.ravel()] = np.broadcast_to(3 * row[:, None, None] + k[None, :, None], pos.shape).ravel()
+        self.diag = pos[which[-n_free:]][:, k, k].ravel()
+        h_pos = np.full((len(bi), 3, 3), self.nnz)
+        h_pos[live] = pos[which]
+        # edge terms come as (E, 6, 6) products: reorder blocks (e, s, t, i, j) to rows (e, s, i, t, j)
+        edge_pos = h_pos[:n_edge].reshape(-1, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4)
+        self.h_scatter = np.concatenate([edge_pos.ravel(), h_pos[n_edge : len(bi) - n_free].ravel()])
+        gv = np.concatenate([ends.ravel(), fprior])
+        self.g_scatter = np.where(gv[:, None] >= 0, 3 * gv[:, None] + k, self.n).ravel()
+        self.prior_blocks = np.einsum("pji,pjk->pik", sqrt_w, sqrt_w).ravel()
 
-    at_b = np.einsum("eji,ejk->eik", a, b)
-    add_block(fp, fp, np.einsum("eji,ejk->eik", a, a))
-    add_block(fp, fq, at_b)
-    add_block(fq, fp, np.transpose(at_b, (0, 2, 1)))
-    add_block(fq, fq, np.einsum("eji,ejk->eik", b, b))
-    add_block(fprior, fprior, np.einsum("pji,pjk->pik", sqrt_w, sqrt_w))
-    for sel_idx, jac, res in ((fp, a, r), (fq, b, r), (fprior, sqrt_w, rp)):
-        ok = sel_idx >= 0
-        contrib = np.einsum("eji,ej->ei", jac[ok], res[ok])
-        np.add.at(grad, (sel_idx[ok, None] * 3 + np.arange(3)[None, :]).reshape(-1), contrib.reshape(-1))
+    def assemble(self, x, e_from, e_to, meas, w, prior):
+        """H's CSC ``data`` and the gradient g at the pose array ``x``."""
+        r, a, b = _residuals_jacobians(x, e_from, e_to, meas, w)
+        rp = _prior_residuals(x, *prior)
+        jac = np.concatenate([a, b], axis=2)  # (E, 3, 6): [A B]
+        jac_t = jac.transpose(0, 2, 1)
+        h_terms = np.concatenate([(jac_t @ jac).ravel(), self.prior_blocks])
+        g_terms = np.concatenate([(jac_t @ r[:, :, None]).ravel(), np.einsum("pji,pj->pi", prior[2], rp).ravel()])
+        h = np.bincount(self.h_scatter, h_terms, minlength=self.nnz + 1)[: self.nnz]
+        g = np.bincount(self.g_scatter, g_terms, minlength=self.n + 1)[: self.n]
+        return h, g
 
-    n = n_free * 3
-    if rows:
-        h_mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-        ).tocsc()
-    else:
-        h_mat = sp.csc_matrix((n, n))
-    return h_mat, grad
+    def damped(self, h, mu):
+        """CSC matrix of H + mu I, for H's ``data`` ``h``."""
+        data = h.copy()
+        data[self.diag] += mu
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
 
 def lm_refine_full(
@@ -169,21 +201,28 @@ def lm_refine_full(
     f_cur = _objective_value(x, e_from, e_to, meas, w, prior)
     mu = cfg.mu0
     it = 0
-    while it < cfg.max_iters and n_free > 0 and (len(e_from) or priors):
-        h_mat, grad = _assemble(x, e_from, e_to, meas, w, prior, free_of, n_free)
-        if np.abs(grad).max() < cfg.gtol:
+    # with nothing free or nothing to fit, the gradient is empty or zero
+    stop = None if n_free > 0 and (len(e_from) or priors) else "gtol"
+    if stop is None:
+        neq = _NormalEquations(free_of, n_free, e_from, e_to, prior)
+    while stop is None:
+        if it >= cfg.max_iters:
+            stop = "max_iters"
             break
-        stop = False
+        h, grad = neq.assemble(x, e_from, e_to, meas, w, prior)
+        if np.abs(grad).max() < cfg.gtol:
+            stop = "gtol"
+            break
+        solved = False  # whether any damped system since the last accepted step had a finite solution
         while it < cfg.max_iters:
             it += 1
-            damped = (h_mat + mu * sp.identity(n_free * 3, format="csc")).tocsc()
             try:
-                solve = spla.splu(damped)
-                delta = solve.solve(-grad)
+                delta = spla.splu(neq.damped(h, mu)).solve(-grad)
                 ok = np.isfinite(delta).all()
             except RuntimeError:
                 ok = False
                 delta = np.zeros(n_free * 3)
+            solved = solved or ok
             if ok:
                 x_try = x.copy()
                 x_try[free] += delta.reshape(-1, 3)
@@ -198,19 +237,21 @@ def lm_refine_full(
                 iterates.append(LMIterate(it, f_cur, mu, step_norm, True))
                 mu = max(mu * cfg.mu_down, 1e-15)
                 if rel_dec < cfg.ftol:
-                    stop = True
+                    stop = "ftol"
                 break
             iterates.append(LMIterate(it, f_cur, mu, step_norm, False))
             mu *= cfg.mu_up
             if mu > cfg.mu_max:
-                raise SingularNormalEquations("damping overflow; normal equations unsolvable")
-        if stop:
-            break
+                if not solved:
+                    raise SingularNormalEquations("damping overflow; normal equations unsolvable")
+                # every finite step was too small to lower f: x is at the rounding floor
+                stop = "floor"
+                break
 
     out = g.copy()
     for vid, pose in zip(vids, x.tolist()):
         out.vertices[vid].estimate = Pose2(*pose)
-    return LMResult(out, iterates, anchor)
+    return LMResult(out, iterates, anchor, stop)
 
 
 def lm_refine(

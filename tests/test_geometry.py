@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpgo.geometry import (
     Pose2,
@@ -54,6 +56,28 @@ def test_wrap_angle_basics():
     assert abs(wrap_angle(3 * math.pi / 2) - (-math.pi / 2)) < 1e-15
     assert wrap_angle(math.pi) == math.pi
     assert wrap_angle(-math.pi) == math.pi  # interval is half-open at -pi
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@example(0.0)
+@example(-0.0)
+@example(math.pi)
+@example(-math.pi)
+@example(math.nextafter(math.pi, 4.0))
+@example(math.nextafter(-math.pi, -4.0))
+@example(-4 * math.pi)
+@example(1e300)
+@example(-math.inf)
+def test_scalar_wrap_angle_matches_array_path_bitwise(theta):
+    with np.errstate(invalid="ignore"):  # +-inf: fmod is invalid on both paths
+        want = wrap_angle(np.array([theta]))[0]
+    for got in (wrap_angle(theta), wrap_angle(np.float64(theta))):
+        assert type(got) is float
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert np.float64(got).view(np.uint64) == want.view(np.uint64)
 
 
 def test_rotation_log_matches_matrix_logarithm_oracle():

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 import scipy.optimize
 
 from dpgo.geometry import Pose2, relative, wrap_angle
@@ -12,10 +13,11 @@ from dpgo.graph import (
     edge_residual,
     objective,
 )
-from dpgo.refine import LMConfig, PriorFactor, lm_refine, lm_refine_full
+from dpgo import refine
+from dpgo.refine import LMConfig, PriorFactor, SingularNormalEquations, lm_refine, lm_refine_full
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate
 
-from conftest import rand_info, rand_pose
+from conftest import rand_graph, rand_info, rand_pose
 
 
 def three_pose_loop(noise=0.0, seed=0):
@@ -111,6 +113,69 @@ def test_jacobians_match_finite_differences(rng):
                 rm, _, _ = _residuals_jacobians(xpert, e_from, e_to, m, w)
                 fd = (rp[0] - rm[0]) / (2 * h)
                 assert np.abs(fd - jac[:, k]).max() < 1e-5
+
+
+def test_normal_equations_match_dense_oracle(rng):
+    from dpgo.refine import _NormalEquations, _prior_residuals, _residuals_jacobians
+
+    w = ResidualWeights(1.3, 0.7)
+    n = 5
+    x = np.array([rand_pose(rng).as_vector() for _ in range(n)])
+    # vertex 0 is the anchor and (0, 1) touches it; (1, 2) and (2, 1) are parallel;
+    # vertex 2 carries both of them and two priors; the prior on the anchor drops out
+    e_from = np.array([0, 1, 2, 2, 3, 4])
+    e_to = np.array([1, 2, 1, 3, 4, 1])
+    meas = np.array([rand_pose(rng, 1.0).as_vector() for _ in e_from])
+    p_rows = np.array([2, 2, 4, 0])
+    prior = (p_rows, np.array([rand_pose(rng).as_vector() for _ in p_rows]), rng.normal(size=(len(p_rows), 3, 3)))
+    neq = _NormalEquations(np.array([-1, 0, 1, 2, 3]), n - 1, e_from, e_to, prior)
+    h, g = neq.assemble(x, e_from, e_to, meas, w, prior)
+
+    r, a, b = _residuals_jacobians(x, e_from, e_to, meas, w)
+    jac = np.zeros((3 * (len(e_from) + len(p_rows)), 3 * n))
+    for e, (p, q) in enumerate(zip(e_from, e_to)):
+        jac[3 * e : 3 * e + 3, 3 * p : 3 * p + 3] += a[e]
+        jac[3 * e : 3 * e + 3, 3 * q : 3 * q + 3] += b[e]
+    for k, v in enumerate(p_rows):
+        row = 3 * (len(e_from) + k)
+        jac[row : row + 3, 3 * v : 3 * v + 3] = prior[2][k]
+    res = np.concatenate([r.ravel(), _prior_residuals(x, *prior).ravel()])
+    jac = jac[:, 3:]  # without the anchor's columns
+
+    h_mat = neq.damped(h, 0.0)
+    assert h_mat.shape == (12, 12) and h_mat.indices.dtype == np.int32
+    assert np.abs(h_mat.todense() - jac.T @ jac).max() < 1e-12
+    assert np.abs(g - jac.T @ res).max() < 1e-12
+    for c in range(neq.n):
+        assert c in h_mat.indices[h_mat.indptr[c] : h_mat.indptr[c + 1]]
+    assert np.abs((neq.damped(h, 0.5) - h_mat).todense() - 0.5 * np.eye(12)).max() < 1e-12
+
+
+def test_lm_returns_at_rounding_floor_instead_of_raising(rng):
+    # at mu0 = 1e20 every damped step is below the rounding of x, so no step lowers f
+    g = rand_graph(rng, n_poses=8, n_loops=3)
+    res = lm_refine_full(g, cfg=LMConfig(mu0=1e20))
+    assert res.stop == "floor"
+    assert not any(it.accepted for it in res.iterates)
+    assert all(res.graph.vertices[v].estimate == g.vertices[v].estimate for v in g.vertices)
+    assert math.isfinite(objective(res.graph))
+
+
+def test_lm_raises_when_no_damped_system_is_solvable(monkeypatch):
+    def singular(_):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(refine.spla, "splu", singular)
+    with pytest.raises(SingularNormalEquations):
+        lm_refine(three_pose_loop(noise=0.05, seed=1))
+
+
+def test_stop_reasons():
+    assert lm_refine_full(three_pose_loop(noise=0.0)).stop == "gtol"
+    g = three_pose_loop(noise=0.05, seed=1)
+    g.vertices[1].estimate = Pose2(1.4, 0.3, 0.5)
+    assert lm_refine_full(g, cfg=LMConfig(max_iters=2)).stop == "max_iters"
+    assert lm_refine_full(g, cfg=LMConfig(max_iters=200)).stop in ("gtol", "ftol")
 
 
 def test_prior_factor_pulls_vertex_to_target():
