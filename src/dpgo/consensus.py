@@ -47,6 +47,14 @@ class AdmmConfig:
             raise ValueError("rho must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.local_max_iters < 1:
+            raise ValueError("local_max_iters must be at least 1")
+        if self.stall_window < 1:
+            raise ValueError("stall_window must be at least 1")
+        if not 0 < self.stall_factor <= 1:
+            raise ValueError("stall_factor must be in (0, 1]")
+        if self.rho_max < self.rho:
+            raise ValueError("rho_max must be at least rho")
 
 
 @dataclass

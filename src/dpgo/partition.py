@@ -181,6 +181,58 @@ def _repair_connectivity(assign, adj, n):
     return assign
 
 
+def _movable(members, adj) -> set:
+    """The members whose removal leaves the rest of ``members`` connected or
+    empty, from one pass of Tarjan's articulation points (iterative DFS) over
+    the subgraph they induce.
+
+    In one component, those are the vertices that are no articulation point.
+    With two components, only a singleton component's vertex can leave; with
+    more, none can.
+    """
+    inside = set(members)
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    cut = set()
+    n_comps, singletons = 0, set()
+    for root in members:
+        if root in disc:
+            continue
+        start = len(disc)
+        disc[root] = low[root] = start
+        root_children = 0
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            u, parent, nbrs = stack[-1]
+            for v in nbrs:
+                if v not in inside or v == u or v == parent:
+                    continue
+                if v in disc:
+                    if disc[v] < low[u]:
+                        low[u] = disc[v]
+                else:
+                    disc[v] = low[v] = len(disc)
+                    stack.append((v, u, iter(adj[v])))
+                    break
+            else:
+                stack.pop()
+                if parent == root:
+                    root_children += 1
+                elif parent is not None:
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    elif low[u] >= disc[parent]:
+                        cut.add(parent)
+        if root_children > 1:
+            cut.add(root)
+        n_comps += 1
+        if len(disc) == start + 1:
+            singletons.add(root)
+    if n_comps == 1:
+        return inside - cut
+    return singletons if n_comps == 2 else set()
+
+
 def _rebalance_connected(assign, adj, weights, n, cap):
     """Shrink oversized blocks by moving boundary vertices whose removal keeps
     the source block connected."""
@@ -201,11 +253,9 @@ def _rebalance_connected(assign, adj, weights, n, cap):
             if conn:
                 tb = max(sorted(conn), key=lambda k: conn[k])
                 candidates.append((-(conn[tb]), u, tb))
+        movable = _movable(members, adj)
         for _, u, tb in sorted(candidates):
-            if sizes[tb] + weights[u] > cap:
-                continue
-            rest = [v for v in members if v != u]
-            if rest and not is_connected(adj, rest):
+            if sizes[tb] + weights[u] > cap or u not in movable:
                 continue
             assign[u] = tb
             sizes[b] -= weights[u]

@@ -2,11 +2,18 @@
 
 Minimizes the global objective (rotation/translation-weighted squared
 residuals of :func:`dpgo.graph.se2_residuals`) by damped Gauss-Newton steps
-with analytic Jacobians, solving sparse normal equations with a
-fill-reducing sparse LU. Each solve builds the CSC sparsity pattern of the
-normal equations and the scatter indices into it once; an iteration then
-fills the pattern's values, and each damped try adds the damping at the
-stored diagonal positions only. The state is the (N, 3) pose array
+with analytic Jacobians, solving sparse normal equations by sparse LU. Each
+solve chooses the elimination order once, from the graph: a symmetric
+minimum-degree order of the block graph of H (one node per free vertex,
+one edge per pair of vertices that share a factor), as in square-root SAM
+(Dellaert and Kaess, IJRR 2006). It then builds the CSC sparsity pattern of
+the normal equations and the scatter indices into it once, in that order;
+an iteration fills the pattern's values, and each damped try adds the
+damping at the stored diagonal positions only and factors in the fixed
+order. H = JᵀJ (plus prior blocks) is positive semidefinite, so H + mu I is
+positive definite for mu > 0 and Gaussian elimination on its diagonal is
+stable without pivoting; the factorization therefore keeps the diagonal
+pivots and the order. The state is the (N, 3) pose array
 (x, y, theta) of the vertices in sorted id order, so each variable block is
 (x, y, theta) while residual rows are (dtheta, dx, dy). One vertex is
 anchored to remove the gauge freedom. Optional prior factors (used by the
@@ -43,6 +50,10 @@ class LMConfig:
     def __post_init__(self):
         if self.mu0 <= 0 or self.mu_up <= 1 or not 0 < self.mu_down < 1:
             raise ValueError("invalid damping configuration")
+        if self.mu_max <= self.mu0:
+            raise ValueError("mu_max must exceed mu0")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
 
 
 @dataclass
@@ -107,12 +118,16 @@ def _objective_value(x, e_from, e_to, meas, w, prior):
 class _NormalEquations:
     """Normal equations ``H d = -g`` of the free variables of one LM solve.
 
-    The CSC pattern of H (int32 indices, with an explicit diagonal entry for
-    every free variable), the scatter indices of the Jacobian-product and
-    prior blocks into H's ``data`` and of their gradient terms into g, and
-    the positions of H's diagonal are built once. Duplicates (parallel edges,
-    several priors on one vertex) are summed by ``np.bincount``; terms on the
-    anchor go to one trailing bin that is dropped.
+    The elimination order is chosen once, here: a symmetric minimum-degree
+    order of the block graph of H (one node per free vertex), and free vertex
+    k becomes block ``perm[k]``. The CSC pattern of H (int32 indices, with an
+    explicit diagonal entry for every free variable), the scatter indices of
+    the Jacobian-product and prior blocks into H's ``data`` and of their
+    gradient terms into g, and the positions of H's diagonal are built once,
+    all in that order, so H, g and the step need no permutation later.
+    Duplicates (parallel edges, several priors on one vertex) are summed by
+    ``np.bincount``; terms on the anchor go to one trailing bin that is
+    dropped.
     """
 
     def __init__(self, free_of, n_free, e_from, e_to, prior):
@@ -130,6 +145,16 @@ class _NormalEquations:
         blocks, which = np.unique(bj[live] * n_free + bi[live], return_inverse=True)
         col, row = np.divmod(blocks, n_free)
         per_col = np.bincount(col, minlength=n_free)
+        first = np.concatenate([[0], np.cumsum(per_col)])
+        # the block graph, strictly diagonally dominant so that it factors without pivoting
+        graph = sp.csc_matrix((np.where(col == row, per_col[col], -1.0), row, first), shape=(n_free, n_free))
+        self.perm = spla.splu(
+            graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        ).perm_c.astype(np.intp)
+        col, row = self.perm[col], self.perm[row]
+        order = np.argsort(col * n_free + row)
+        col, row, which = col[order], row[order], np.argsort(order)[which]
+        per_col = per_col[np.argsort(self.perm)]
         first = np.concatenate([[0], np.cumsum(per_col)])
         # entry (i, j) of stored block u: its block column holds 3 columns of 3 * per_col rows each
         pos = (
@@ -149,7 +174,7 @@ class _NormalEquations:
         # edge terms come as (E, 6, 6) products: reorder blocks (e, s, t, i, j) to rows (e, s, i, t, j)
         edge_pos = h_pos[:n_edge].reshape(-1, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4)
         self.h_scatter = np.concatenate([edge_pos.ravel(), h_pos[n_edge : len(bi) - n_free].ravel()])
-        gv = np.concatenate([ends.ravel(), fprior])
+        gv = np.append(self.perm, -1)[np.concatenate([ends.ravel(), fprior])]
         self.g_scatter = np.where(gv[:, None] >= 0, 3 * gv[:, None] + k, self.n).ravel()
         self.prior_blocks = np.einsum("pji,pjk->pik", sqrt_w, sqrt_w).ravel()
 
@@ -170,6 +195,13 @@ class _NormalEquations:
         data = h.copy()
         data[self.diag] += mu
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def factor(self, h, mu):
+        """LU factors of H + mu I in the stored order. The matrix is symmetric
+        positive definite for mu > 0, so the diagonal pivots are stable."""
+        return spla.splu(
+            self.damped(h, mu), permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
 
 
 def lm_refine_full(
@@ -205,6 +237,7 @@ def lm_refine_full(
     stop = None if n_free > 0 and (len(e_from) or priors) else "gtol"
     if stop is None:
         neq = _NormalEquations(free_of, n_free, e_from, e_to, prior)
+        free = free[np.argsort(neq.perm)]  # the vertex of each block of the step
     while stop is None:
         if it >= cfg.max_iters:
             stop = "max_iters"
@@ -217,7 +250,7 @@ def lm_refine_full(
         while it < cfg.max_iters:
             it += 1
             try:
-                delta = spla.splu(neq.damped(h, mu)).solve(-grad)
+                delta = neq.factor(h, mu).solve(-grad)
                 ok = np.isfinite(delta).all()
             except RuntimeError:
                 ok = False

@@ -74,6 +74,27 @@ def test_config_rejects_zero_rounds():
         AdmmConfig(max_iters=0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"local_max_iters": 0},
+        {"stall_window": 0},
+        {"stall_factor": 0.0},
+        {"stall_factor": 1.5},
+        {"stall_factor": float("nan")},
+        {"rho": 10.0, "rho_max": 5.0},
+    ],
+    ids=["local_max_iters", "stall_window", "stall_factor_zero", "stall_factor_above_one", "stall_factor_nan", "rho_max"],
+)
+def test_config_rejects_malformed_field(bad):
+    with pytest.raises(ValueError):
+        AdmmConfig(**bad)
+
+
+def test_config_accepts_boundary_values():
+    AdmmConfig(local_max_iters=1, stall_window=1, stall_factor=1.0, rho=2.0, rho_max=2.0)
+
+
 def test_identical_duplicates_converge_immediately():
     part = two_robot_toy(p0=1.0, p1=1.0)
     res = admm_consensus(part)

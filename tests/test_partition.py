@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpgo.consensus import information_weighted_mean
 from dpgo.geometry import Pose2
-from dpgo.graph import EdgeMeasurement, EdgeOrigin, PoseGraph, ResidualWeights, objective
+from dpgo.graph import EdgeMeasurement, EdgeOrigin, PoseGraph, ResidualWeights, is_connected, objective
 from dpgo.partition import (
     DisconnectedInput,
     UnresolvedSeparator,
+    _movable,
     balance_cap,
     merge,
     partition,
@@ -104,6 +107,30 @@ def test_partition_blocks_internally_connected():
             seen.add(u)
             stack.extend(adj[u] - seen)
         assert seen == set(owned), f"block {b} not internally connected"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14),
+            st.sets(st.integers(0, n - 1), min_size=1),
+            st.just(n),
+        )
+    )
+)
+def test_movable_matches_bfs_rule(case):
+    edges, members, n = case
+    adj = {u: {} for u in range(n)}
+    for u, v in edges:
+        adj[u][v] = adj[v][u] = 1.0
+    members = sorted(members)
+    bfs = set()
+    for u in members:
+        rest = [v for v in members if v != u]
+        if not rest or is_connected(adj, rest):
+            bfs.add(u)
+    assert _movable(members, adj) == bfs
 
 
 def test_disconnected_input_raises():

@@ -15,7 +15,7 @@ from dpgo.graph import (
 )
 from dpgo import refine
 from dpgo.refine import LMConfig, PriorFactor, SingularNormalEquations, lm_refine, lm_refine_full
-from dpgo.synth import GenSpec, NOISE_PROFILES, generate
+from dpgo.synth import GenSpec, NOISE_PROFILES, generate, inject_outliers
 
 from conftest import rand_graph, rand_info, rand_pose
 
@@ -115,14 +115,19 @@ def test_jacobians_match_finite_differences(rng):
                 assert np.abs(fd - jac[:, k]).max() < 1e-5
 
 
-def test_normal_equations_match_dense_oracle(rng):
+def dense_normal_equations_case(rng):
+    """A small solve's normal equations next to its dense Jacobian and residual.
+
+    Vertex 0 is the anchor and (0, 1) touches it; (1, 2) and (2, 1) are
+    parallel; vertex 2 carries both of them and two priors; the prior on the
+    anchor drops out. The dense Jacobian has no anchor columns and its
+    columns are in vertex order.
+    """
     from dpgo.refine import _NormalEquations, _prior_residuals, _residuals_jacobians
 
     w = ResidualWeights(1.3, 0.7)
     n = 5
     x = np.array([rand_pose(rng).as_vector() for _ in range(n)])
-    # vertex 0 is the anchor and (0, 1) touches it; (1, 2) and (2, 1) are parallel;
-    # vertex 2 carries both of them and two priors; the prior on the anchor drops out
     e_from = np.array([0, 1, 2, 2, 3, 4])
     e_to = np.array([1, 2, 1, 3, 4, 1])
     meas = np.array([rand_pose(rng, 1.0).as_vector() for _ in e_from])
@@ -140,7 +145,13 @@ def test_normal_equations_match_dense_oracle(rng):
         row = 3 * (len(e_from) + k)
         jac[row : row + 3, 3 * v : 3 * v + 3] = prior[2][k]
     res = np.concatenate([r.ravel(), _prior_residuals(x, *prior).ravel()])
-    jac = jac[:, 3:]  # without the anchor's columns
+    return neq, h, g, jac[:, 3:], res
+
+
+def test_normal_equations_match_dense_oracle(rng):
+    neq, h, g, jac, res = dense_normal_equations_case(rng)
+    assert sorted(neq.perm) == [0, 1, 2, 3]
+    jac = jac[:, (3 * np.argsort(neq.perm)[:, None] + np.arange(3)).ravel()]  # free vertex k is block perm[k]
 
     h_mat = neq.damped(h, 0.0)
     assert h_mat.shape == (12, 12) and h_mat.indices.dtype == np.int32
@@ -149,6 +160,29 @@ def test_normal_equations_match_dense_oracle(rng):
     for c in range(neq.n):
         assert c in h_mat.indices[h_mat.indptr[c] : h_mat.indptr[c + 1]]
     assert np.abs((neq.damped(h, 0.5) - h_mat).todense() - 0.5 * np.eye(12)).max() < 1e-12
+
+
+def test_damped_step_matches_dense_solve(rng):
+    neq, h, g, jac, res = dense_normal_equations_case(rng)
+    mu = 0.5
+    step = neq.factor(h, mu).solve(-g).reshape(-1, 3)[neq.perm].ravel()  # back to vertex order
+    dense = np.linalg.solve(jac.T @ jac + mu * np.eye(12), -jac.T @ res)
+    assert np.abs(step - dense).max() < 1e-10
+
+
+def test_block_order_fills_no_more_than_colamd():
+    from dpgo.graph import graph_arrays
+    from dpgo.refine import _NormalEquations
+
+    g, _ = inject_outliers(generate(GenSpec(n_robots=4, poses_per_robot=60, seed=7)), 0.1, 7)
+    a = graph_arrays(g)
+    n = len(a.vids)
+    prior = (np.zeros(0, dtype=np.intp), np.zeros((0, 3)), np.zeros((0, 3, 3)))
+    neq = _NormalEquations(np.arange(n) - 1, n - 1, a.e_from, a.e_to, prior)  # vertex 0 anchored
+    h, _ = neq.assemble(a.estimates, a.e_from, a.e_to, a.meas, ResidualWeights(), prior)
+    ours = neq.factor(h, 1e-4)
+    colamd = refine.spla.splu(neq.damped(h, 1e-4))
+    assert ours.L.nnz + ours.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
 
 def test_lm_returns_at_rounding_floor_instead_of_raising(rng):
@@ -162,12 +196,30 @@ def test_lm_returns_at_rounding_floor_instead_of_raising(rng):
 
 
 def test_lm_raises_when_no_damped_system_is_solvable(monkeypatch):
-    def singular(_):
+    real_splu = refine.spla.splu
+
+    def singular(*args, **kwargs):
+        # the ordering factors the 2x2 block graph of the two free vertices; every damped system is 6x6
+        if args[0].shape == (2, 2):
+            return real_splu(*args, **kwargs)
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(refine.spla, "splu", singular)
     with pytest.raises(SingularNormalEquations):
         lm_refine(three_pose_loop(noise=0.05, seed=1))
+
+
+@pytest.mark.parametrize("bad", [{"max_iters": -1}, {"mu_max": 1e-4}, {"mu0": 1.0, "mu_max": 0.5}], ids=["max_iters", "mu_max_equal", "mu_max_below"])
+def test_lm_config_rejects_malformed_field(bad):
+    with pytest.raises(ValueError):
+        LMConfig(**bad)
+
+
+def test_lm_config_with_zero_iterations_returns_the_input():
+    g = three_pose_loop(noise=0.05, seed=1)
+    res = lm_refine_full(g, cfg=LMConfig(max_iters=0))
+    assert res.stop == "max_iters" and not res.iterates
+    assert all(res.graph.vertices[v].estimate == g.vertices[v].estimate for v in g.vertices)
 
 
 def test_stop_reasons():
