@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Pose2, wrap_angle
-from .graph import PoseGraph, ResidualWeights
+from .graph import PoseGraph
 from .partition import Partition
 from .refine import LMConfig, PriorFactor, lm_refine_full
 
@@ -89,9 +89,9 @@ def information_weighted_mean(poses, infos, groups) -> np.ndarray:
     return np.column_stack([t, wrap_angle(np.arctan2(sin_acc, cos_acc))])
 
 
-def _subgraph_anchor(sub: PoseGraph, separators) -> int:
-    non_sep = [vid for vid in sorted(sub.vertices) if vid not in separators]
-    return non_sep[0] if non_sep else sorted(sub.vertices)[0]
+def _subgraph_anchor(sub: PoseGraph, sep_ids) -> int:
+    non_sep = sub.vids[~np.isin(sub.vids, sep_ids)]
+    return int(non_sep[0] if len(non_sep) else sub.vids[0])
 
 
 def _wrap_theta(poses: np.ndarray) -> np.ndarray:
@@ -99,28 +99,29 @@ def _wrap_theta(poses: np.ndarray) -> np.ndarray:
     return poses
 
 
-def admm_consensus(
-    p: Partition,
-    weights: ResidualWeights | None = None,
-    cfg: AdmmConfig | None = None,
-) -> AdmmResult:
-    w = weights or ResidualWeights()
+def admm_consensus(p: Partition, cfg: AdmmConfig | None = None) -> AdmmResult:
     cfg = cfg or AdmmConfig()
     # lm_refine_full returns new graphs and nothing mutates them: shallow copies suffice
-    part = Partition(list(p.subgraphs), dict(p.owner), dict(p.separators), [list(g) for g in p.edge_gids])
+    part = Partition(list(p.subgraphs), dict(p.owner), dict(p.separators), list(p.edge_gids))
     local_cfg = LMConfig(max_iters=cfg.local_max_iters)
-    anchors = [_subgraph_anchor(sub, part.separators) for sub in part.subgraphs]
 
     # copy table: one row per (separator, holding block), separators in id order
     sep_ids = sorted(part.separators)
+    anchors = [_subgraph_anchor(sub, sep_ids) for sub in part.subgraphs]
     copies = [(vid, b) for vid in sep_ids for b in part.separators[vid]]
     copy_sep = np.repeat(np.arange(len(sep_ids)), [len(part.separators[vid]) for vid in sep_ids])
-    block_rows = [[i for i, (_, cb) in enumerate(copies) if cb == b] for b in range(part.n_blocks)]
+    block_rows = [
+        np.array([i for i, (_, cb) in enumerate(copies) if cb == b], dtype=np.intp) for b in range(part.n_blocks)
+    ]
+    # the vertex row of each of a block's copies; LM keeps a block's vertices and their order
+    local_rows = [sub.rows_of([copies[i][0] for i in rows]) for sub, rows in zip(part.subgraphs, block_rows)]
     eye = np.broadcast_to(np.eye(3), (len(copies), 3, 3))
 
     def copy_poses() -> np.ndarray:
-        ests = [part.subgraphs[b].vertices[vid].estimate for vid, b in copies]
-        return np.array([(e.x, e.y, e.theta) for e in ests]).reshape(-1, 3)
+        x = np.empty((len(copies), 3))
+        for sub, rows, local in zip(part.subgraphs, block_rows, local_rows):
+            x[rows] = sub.estimates[local]
+        return x
 
     z = information_weighted_mean(copy_poses(), eye, copy_sep)
     u = np.zeros((len(copies), 3))
@@ -134,7 +135,7 @@ def admm_consensus(
         targets = _wrap_theta(z[copy_sep] - u)
         for b, sub in enumerate(part.subgraphs):
             priors = tuple(PriorFactor(copies[i][0], targets[i], sqrt_w) for i in block_rows[b])
-            part.subgraphs[b] = lm_refine_full(sub, w, local_cfg, anchor=anchors[b], priors=priors).graph
+            part.subgraphs[b] = lm_refine_full(sub, cfg=local_cfg, anchor=anchors[b], priors=priors).graph
 
         x = copy_poses()
         z = information_weighted_mean(_wrap_theta(x + u), eye, copy_sep)

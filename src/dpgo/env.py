@@ -11,12 +11,12 @@ bonus shared by all robots proportional to log(L_0 / L_T).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import Pose2, compose, se2_exp
-from .graph import GraphError, PoseGraph, graph_arrays, se2_residuals
+from .graph import GraphError, PoseGraph, se2_residuals
 from .nn.encoder import GraphSnapshot, snapshot_from_graph
 from .partition import Partition, partition
 
@@ -71,11 +71,11 @@ class PoseGraphEnv:
         self.delta_max_t = delta_max_t
         self.delta_max_theta = delta_max_theta
         self.record_trace = record_trace
-        self.reward_free = not graph.has_full_ground_truth()
+        self.reward_free = bool(np.isnan(graph.truths).any())
 
         self.part: Partition = partition(self.graph, n_robots, balance_tol)
         self.snapshots: list[GraphSnapshot] = []
-        self._gids: list[list[int]] = []
+        self._gids: list[np.ndarray] = []
         self._infos: list[np.ndarray] = []
         self._truth_ends: list[tuple[np.ndarray, np.ndarray]] = []
         for b, sub in enumerate(self.part.subgraphs):
@@ -86,10 +86,9 @@ class PoseGraphEnv:
                     f"selector capacity is {selector_capacity}"
                 )
             self.snapshots.append(snap)
-            self._gids.append(sorted(self.part.edge_gids[b]))
-            a = graph_arrays(sub, edge_order=self.part.edge_gids[b])
-            self._infos.append(np.array([e.info for e in a.edges]).reshape(-1, 3, 3))
-            self._truth_ends.append((a.truths[a.e_from], a.truths[a.e_to]))
+            self._gids.append(self.part.edge_gids[b])  # increasing, so the snapshot keeps the block's edge order
+            self._infos.append(sub.info)
+            self._truth_ends.append((sub.truths[snap.edge_from], sub.truths[snap.edge_to]))
         self.reset()
 
     # -- episode control ------------------------------------------------------
@@ -179,7 +178,7 @@ class PoseGraphEnv:
                     {
                         "step": self.t,
                         "robot": b,
-                        "edge_gid": self._gids[b][e],
+                        "edge_gid": int(self._gids[b][e]),
                         "delta": [float(x) for x in delta],
                         "raw_gain": float(gains[b]),
                         "reward": float(rewards[b]),
@@ -207,8 +206,7 @@ class PoseGraphEnv:
 
     def current_graph(self) -> PoseGraph:
         """Global graph carrying the corrected measurements."""
-        g = self.graph.copy()
-        for b in range(self.n_robots):
-            for i, gid in enumerate(self._gids[b]):
-                g.edges[gid] = g.edges[gid].with_rel(Pose2(*self.meas[b][i]))
-        return g
+        meas = self.graph.meas.copy()
+        for gids, local in zip(self._gids, self.meas):
+            meas[gids] = local
+        return replace(self.graph, meas=meas)

@@ -25,115 +25,94 @@ import math
 
 import numpy as np
 
-from .geometry import Pose2
-from .graph import EdgeMeasurement, EdgeOrigin, GraphError, NonPSDInformation, PoseGraph
+from .graph import EdgeOrigin, GraphError, NonPSDInformation, PoseGraph
 
-# internal (theta, x, y) index -> file (x, y, theta) index
-_TO_FILE = [2, 0, 1]
+_TO_FILE = [2, 0, 1]  # internal (theta, x, y) index -> file (x, y, theta) index
+_FROM_FILE = np.argsort(_TO_FILE)
+_UPPER = np.triu_indices(3)  # the order of the six q-values
 
 
 class ParseError(GraphError):
     pass
 
 
-def _info_to_internal(m_file: np.ndarray) -> np.ndarray:
-    return m_file[np.ix_(_TO_FILE, _TO_FILE)]
-
-
-def _info_to_file(m_int: np.ndarray) -> np.ndarray:
-    m = np.empty((3, 3))
-    m[np.ix_(_TO_FILE, _TO_FILE)] = m_int
-    return m
-
-
 def load_g2o(path) -> PoseGraph:
-    g = PoseGraph()
+    """Read a graph: the records are collected, then the graph is built and
+    validated once, and a rejected record is reported by its line."""
+    vertices, edges, lines = [], [], {"vertex": [], "edge": []}
     pending_origin = None
     pending_meta = None
     pending_truth = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            tokens = raw.split()
+            if not tokens:
                 continue
-            tokens = line.split()
             if tokens[0] == "#":
                 if len(tokens) >= 3 and tokens[1] == "ORIGIN":
                     pending_origin = _parse_int(tokens[2], lineno)
                 elif len(tokens) >= 4 and tokens[1] == "VERTEX_META":
                     pending_meta = (_parse_int(tokens[2], lineno), _parse_int(tokens[3], lineno))
                 elif len(tokens) >= 5 and tokens[1] == "VERTEX_TRUTH":
-                    pending_truth = Pose2(*(_parse_float(t, lineno) for t in tokens[2:5]))
+                    pending_truth = [_parse_float(t, lineno) for t in tokens[2:5]]
                 continue
             if tokens[0] == "VERTEX_SE2":
                 if len(tokens) != 5:
                     raise ParseError(f"line {lineno}: VERTEX_SE2 expects 4 fields")
                 vid = _parse_int(tokens[1], lineno)
-                x, y, th = (_parse_float(t, lineno) for t in tokens[2:5])
                 robot, timestep = pending_meta if pending_meta else (0, vid)
-                try:
-                    g.add_vertex(vid, robot, timestep, Pose2(x, y, th), pending_truth)
-                except GraphError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from exc
+                est = [_parse_float(t, lineno) for t in tokens[2:5]]
+                vertices.append((vid, robot, timestep, est, pending_truth or [math.nan] * 3))
+                lines["vertex"].append(lineno)
                 pending_meta = pending_truth = None
             elif tokens[0] == "EDGE_SE2":
                 if len(tokens) != 12:
                     raise ParseError(f"line {lineno}: EDGE_SE2 expects 11 fields")
-                i, j = _parse_int(tokens[1], lineno), _parse_int(tokens[2], lineno)
-                dx, dy, dth = (_parse_float(t, lineno) for t in tokens[3:6])
-                q = [_parse_float(t, lineno) for t in tokens[6:12]]
-                m_file = np.array(
-                    [[q[0], q[1], q[2]], [q[1], q[3], q[4]], [q[2], q[4], q[5]]]
-                )
-                origin = (
-                    EdgeOrigin(pending_origin)
-                    if pending_origin is not None
-                    else _origin_heuristic(g, i, j, lineno)
-                )
+                i, j = (_parse_int(t, lineno) for t in tokens[1:3])
+                values = [_parse_float(t, lineno) for t in tokens[3:12]]
+                edges.append([i, j, values[:3], values[3:], pending_origin])
+                lines["edge"].append(lineno)
                 pending_origin = None
-                try:
-                    edge = EdgeMeasurement(i, j, Pose2(dx, dy, dth), _info_to_internal(m_file), origin)
-                    g.add_edge(edge)
-                except NonPSDInformation as exc:
-                    raise NonPSDInformation(f"line {lineno}: {exc}") from exc
-                except GraphError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from exc
             else:
                 raise ParseError(f"line {lineno}: unknown record {tokens[0]!r}")
-    if not g.vertices:
+    if not vertices:
         raise ParseError("no VERTEX_SE2 records found")
-    return g
 
-
-def _origin_heuristic(g: PoseGraph, i: int, j: int, lineno: int) -> EdgeOrigin:
+    # untagged edges: consecutive timesteps of one robot are odometry, the rest intra-robot loops
+    meta = {vid: (robot, timestep) for vid, robot, timestep, _, _ in vertices}
+    for e in edges:
+        if e[4] is None:
+            u, v = meta.get(e[0]), meta.get(e[1])
+            odometry = u is not None and v is not None and u[0] == v[0] and abs(u[1] - v[1]) == 1
+            e[4] = EdgeOrigin.ODOMETRY if odometry else EdgeOrigin.INTRA_LOOP
+    from_ids, to_ids, meas, qs, origins = zip(*edges) if edges else ((),) * 5
+    m_file = np.empty((len(edges), 3, 3))
+    m_file[:, _UPPER[0], _UPPER[1]] = m_file[:, _UPPER[1], _UPPER[0]] = np.reshape(qs, (-1, 6))
     try:
-        u, v = g.vertices[i], g.vertices[j]
-    except KeyError as exc:
-        raise ParseError(f"line {lineno}: edge references unknown vertex {exc}") from exc
-    if u.robot == v.robot and abs(u.timestep - v.timestep) == 1:
-        return EdgeOrigin.ODOMETRY
-    return EdgeOrigin.INTRA_LOOP
+        return PoseGraph(*zip(*vertices), from_ids, to_ids, meas, m_file[:, _TO_FILE][:, :, _TO_FILE], origins)
+    except GraphError as exc:
+        if exc.position is None:
+            raise
+        kind, k = exc.position
+        cls = NonPSDInformation if isinstance(exc, NonPSDInformation) else ParseError
+        raise cls(f"line {lines[kind][k]}: {exc}") from exc
 
 
 def save_g2o(g: PoseGraph, path) -> None:
+    q = g.info[:, _FROM_FILE[_UPPER[0]], _FROM_FILE[_UPPER[1]]]
     with open(path, "w", encoding="utf-8") as fh:
-        for vid in sorted(g.vertices):
-            v = g.vertices[vid]
-            fh.write(f"# VERTEX_META {v.robot} {v.timestep}\n")
-            if v.truth is not None:
-                fh.write(f"# VERTEX_TRUTH {v.truth.x!r} {v.truth.y!r} {v.truth.theta!r}\n")
-            e = v.estimate
-            fh.write(f"VERTEX_SE2 {vid} {e.x!r} {e.y!r} {e.theta!r}\n")
-        for edge in g.edges:
-            m = _info_to_file(np.asarray(edge.info))
-            q = [float(m[0, 0]), float(m[0, 1]), float(m[0, 2]), float(m[1, 1]), float(m[1, 2]), float(m[2, 2])]
-            fh.write(f"# ORIGIN {int(edge.origin)}\n")
-            fh.write(
-                f"EDGE_SE2 {edge.from_id} {edge.to_id} "
-                f"{edge.rel.x!r} {edge.rel.y!r} {edge.rel.theta!r} "
-                + " ".join(repr(val) for val in q)
-                + "\n"
-            )
+        for vid, robot, timestep, est, truth in zip(
+            g.vids.tolist(), g.robot.tolist(), g.timestep.tolist(), g.estimates.tolist(), g.truths.tolist()
+        ):
+            fh.write(f"# VERTEX_META {robot} {timestep}\n")
+            if not math.isnan(truth[0]):
+                fh.write(f"# VERTEX_TRUTH {truth[0]!r} {truth[1]!r} {truth[2]!r}\n")
+            fh.write(f"VERTEX_SE2 {vid} {est[0]!r} {est[1]!r} {est[2]!r}\n")
+        for i, j, rel, qe, origin in zip(
+            g.from_ids.tolist(), g.to_ids.tolist(), g.meas.tolist(), q.tolist(), g.origin.tolist()
+        ):
+            fh.write(f"# ORIGIN {origin}\n")
+            fh.write(f"EDGE_SE2 {i} {j} " + " ".join(repr(val) for val in rel + qe) + "\n")
 
 
 def _parse_int(token: str, lineno: int) -> int:

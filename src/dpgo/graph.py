@@ -1,6 +1,28 @@
 """Pose-graph data model, the SE(2) edge residual, global objective, and
 localization error.
 
+A :class:`PoseGraph` is a struct of arrays. Vertex rows are in increasing
+id order: ``vids``, ``robot``, ``timestep`` (N,), ``estimates`` and
+``truths`` (N, 3), a NaN truth row meaning no ground truth. Edge rows keep
+the order given: ``from_ids``, ``to_ids`` (E,) vertex ids and ``e_from``,
+``e_to`` (E,) their rows, ``meas`` (E, 3), ``info`` (E, 3, 3) and
+``origin`` (E,) :class:`EdgeOrigin` codes.
+
+The constructor is the one validation, one batched pass over all rows where
+data enters; derived graphs (LM output, copies, partition blocks, merge,
+pruning, outliers, the environment's export) go through it too, mostly by
+:func:`dataclasses.replace`. It wraps the theta columns, keeps the symmetric
+part of each information matrix and makes every array but ``estimates`` and
+``truths`` read-only. An error names the offending vertex or edge, and its
+``position`` holds the row's kind and input index, so a loader can name the
+line.
+
+Every stage reads the arrays. ``vertices`` (id -> a view whose ``estimate``
+and ``truth`` read and write the rows) and ``edges`` (read-only
+:class:`Edge` records) serve code that handles one pose at a time by id:
+the frozen benchmark in ``perfbench/`` reads graphs that way, and so do the
+tests. No numeric path reads them.
+
 :func:`se2_residuals` is the one place that evaluates edge residuals; LM, the
 objective, the localization error, the environment's reward terms and the
 encoder's gate cue all call it. Residuals are ordered ``(dtheta, dx, dy)``
@@ -10,20 +32,20 @@ and information matrices follow that ordering; pose arrays are
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Pose2, relative, wrap_angle
+from .geometry import Pose2, wrap_angle
 
 
 class GraphError(Exception):
-    pass
+    position: tuple[str, int] | None = None  # ("vertex" or "edge", input index) of a rejected row
 
 
 class MissingGroundTruth(GraphError):
@@ -34,10 +56,6 @@ class NonPSDInformation(GraphError):
     pass
 
 
-def _is_finite(p: Pose2) -> bool:
-    return math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.theta)
-
-
 class EdgeOrigin(IntEnum):
     ODOMETRY = 0
     INTRA_LOOP = 1
@@ -45,155 +63,207 @@ class EdgeOrigin(IntEnum):
     INTER_LOOP = 3
 
 
+VERTEX_FIELDS = ("vids", "robot", "timestep", "estimates", "truths")
+EDGE_FIELDS = ("from_ids", "to_ids", "meas", "info", "origin")
+
+
+def _reject(bad, kind: str, message, cls=GraphError) -> None:
+    """Raise ``cls(message(k))`` for the first input row k where ``bad`` holds."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        exc = cls(message(int(hits[0])))
+        exc.position = (kind, int(hits[0]))
+        raise exc
+
+
+def _column(values, dtype, shape, name) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    if arr.size == 0:
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise GraphError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
+def _pose(poses: np.ndarray, k: int) -> Pose2:
+    return Pose2(*poses[k].tolist())
+
+
 @dataclass(frozen=True, eq=False)
-class EdgeMeasurement:
-    """Directed relative-pose measurement with a 3x3 information matrix."""
+class PoseGraph:
+    """Directed pose graph of vertex and edge arrays; see the module docstring."""
+
+    vids: np.ndarray
+    robot: np.ndarray
+    timestep: np.ndarray
+    estimates: np.ndarray
+    truths: np.ndarray
+    from_ids: np.ndarray
+    to_ids: np.ndarray
+    meas: np.ndarray
+    info: np.ndarray
+    origin: np.ndarray
+    e_from: np.ndarray = field(init=False, repr=False)
+    e_to: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, m = np.size(self.vids), np.size(self.from_ids)
+        vids = _column(self.vids, np.int64, (n,), "vids")
+        robot = _column(self.robot, np.int64, (n,), "robot")
+        timestep = _column(self.timestep, np.int64, (n,), "timestep")
+        est = _column(self.estimates, float, (n, 3), "estimates")
+        truth = _column(self.truths, float, (n, 3), "truths")
+        src = _column(self.from_ids, np.int64, (m,), "from_ids")
+        dst = _column(self.to_ids, np.int64, (m,), "to_ids")
+        meas = _column(self.meas, float, (m, 3), "meas")
+        info = _column(self.info, float, (m, 3, 3), "info")
+        origin = _column(self.origin, np.int64, (m,), "origin")
+
+        order = np.argsort(vids, kind="stable")
+        bad = np.zeros(n, dtype=bool)
+        bad[order[1:]] = vids[order[1:]] == vids[order[:-1]]
+        _reject(bad, "vertex", lambda i: f"duplicate vertex id {vids[i]}")
+        _reject(timestep < 0, "vertex", lambda i: f"negative timestep on vertex {vids[i]}")
+        bad = ~np.isfinite(est).all(axis=1)
+        _reject(bad, "vertex", lambda i: f"non-finite estimate {_pose(est, i)} on vertex {vids[i]}")
+        bad = ~np.isfinite(truth).all(axis=1) & ~np.isnan(truth).all(axis=1)
+        _reject(bad, "vertex", lambda i: f"non-finite truth {_pose(truth, i)} on vertex {vids[i]}")
+
+        def edge(k):
+            return f"edge {src[k]}->{dst[k]}"
+
+        _reject(src == dst, "edge", lambda k: f"self edge on vertex {src[k]}")
+        bad = ~np.isfinite(meas).all(axis=1)
+        _reject(bad, "edge", lambda k: f"{edge(k)}: non-finite measurement {_pose(meas, k)}")
+        bad = ~np.isfinite(info).all(axis=(1, 2))
+        _reject(bad, "edge", lambda k: f"{edge(k)}: non-finite information matrix {info[k].tolist()}")
+        # per edge, np.allclose(info, info.T, atol=1e-9 * max(1, |info|max))
+        info_t = info.transpose(0, 2, 1)
+        atol = 1e-9 * np.maximum(1.0, np.abs(info).max(axis=(1, 2), initial=0.0))
+        bad = ~(np.abs(info - info_t) <= atol[:, None, None] + 1e-5 * np.abs(info_t)).all(axis=(1, 2))
+        _reject(bad, "edge", lambda k: "information matrix is not symmetric", NonPSDInformation)
+        bad = np.linalg.eigvalsh(info).min(axis=1, initial=math.inf) <= 0
+        _reject(bad, "edge", lambda k: "information matrix has a non-positive eigenvalue", NonPSDInformation)
+        bad = (origin < 0) | (origin >= len(EdgeOrigin))  # the codes are 0, 1, ...
+        _reject(bad, "edge", lambda k: f"{edge(k)}: unknown origin code {origin[k]}")
+
+        vids, robot, timestep, est, truth = (a[order] for a in (vids, robot, timestep, est, truth))
+        object.__setattr__(self, "vids", vids)  # rows_of reads it
+        e_from, e_to = self.rows_of(src), self.rows_of(dst)
+        bad = (e_from < 0) | (e_to < 0)
+        _reject(bad, "edge", lambda k: f"edge references unknown vertex {src[k] if e_from[k] < 0 else dst[k]}")
+        consecutive = (robot[e_from] == robot[e_to]) & (np.abs(timestep[e_from] - timestep[e_to]) == 1)
+        bad = (origin == EdgeOrigin.ODOMETRY) & ~consecutive
+        _reject(bad, "edge", lambda k: f"odometry {edge(k)} does not connect consecutive timesteps of one robot")
+
+        for poses in (est, truth, meas):
+            poses[:, 2] = wrap_angle(poses[:, 2])
+        arrays = dict(
+            vids=vids, robot=robot, timestep=timestep, estimates=est, truths=truth, from_ids=src, to_ids=dst,
+            meas=meas, info=0.5 * (info + info_t), origin=origin, e_from=e_from, e_to=e_to,
+        )
+        for name, value in arrays.items():
+            value.setflags(write=name in ("estimates", "truths"))
+            object.__setattr__(self, name, value)
+
+    def rows_of(self, ids) -> np.ndarray:
+        """The row of each vertex id in ``ids``; -1 where an id is no vertex."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not len(self.vids):
+            return np.full(ids.shape, -1)
+        rows = np.minimum(np.searchsorted(self.vids, ids), len(self.vids) - 1)
+        return np.where(self.vids[rows] == ids, rows, -1)
+
+    def subgraph(self, rows, edges) -> PoseGraph:
+        """The graph of the vertex rows and edges that the numpy indices ``rows`` and ``edges`` select."""
+        return PoseGraph(
+            **{f: getattr(self, f)[rows] for f in VERTEX_FIELDS}, **{f: getattr(self, f)[edges] for f in EDGE_FIELDS}
+        )
+
+    def copy(self) -> PoseGraph:
+        return replace(self)
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.vids)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.meas)
+
+    @property
+    def vertices(self) -> Mapping:
+        return _Vertices(self)
+
+    @property
+    def edges(self) -> Sequence:
+        return _Edges(self)
+
+
+class Edge(NamedTuple):
+    """One edge of a graph, read from its arrays."""
 
     from_id: int
     to_id: int
     rel: Pose2
-    info: np.ndarray
-    origin: EdgeOrigin = EdgeOrigin.INTRA_LOOP
-
-    def __post_init__(self):
-        if self.from_id == self.to_id:
-            raise GraphError(f"self edge on vertex {self.from_id}")
-        if not _is_finite(self.rel):
-            raise GraphError(f"edge {self.from_id}->{self.to_id}: non-finite measurement {self.rel}")
-        info = np.asarray(self.info, dtype=float)
-        if info.shape != (3, 3):
-            raise GraphError(f"information matrix must be 3x3, got {info.shape}")
-        if not np.isfinite(info).all():
-            raise GraphError(
-                f"edge {self.from_id}->{self.to_id}: non-finite information matrix {info.tolist()}"
-            )
-        if not np.allclose(info, info.T, atol=1e-9 * max(1.0, float(np.abs(info).max()))):
-            raise NonPSDInformation("information matrix is not symmetric")
-        if np.linalg.eigvalsh(info).min() <= 0:
-            raise NonPSDInformation("information matrix has a non-positive eigenvalue")
-        info = 0.5 * (info + info.T)
-        info.setflags(write=False)
-        object.__setattr__(self, "info", info)
-        object.__setattr__(self, "origin", EdgeOrigin(self.origin))
-
-    def with_rel(self, rel: Pose2) -> EdgeMeasurement:
-        """Copy carrying measurement ``rel``; shares this edge's validated, read-only ``info``."""
-        if not _is_finite(rel):
-            raise GraphError(f"edge {self.from_id}->{self.to_id}: non-finite measurement {rel}")
-        out = copy.copy(self)
-        object.__setattr__(out, "rel", rel)
-        return out
+    info: np.ndarray  # read-only (3, 3)
+    origin: EdgeOrigin
 
 
-@dataclass
-class Vertex:
-    robot: int
-    timestep: int
-    estimate: Pose2
-    truth: Pose2 | None = None
+class _Vertex:
+    """One vertex of a graph; ``estimate`` and ``truth`` read and write its rows."""
 
+    __slots__ = ("_g", "_row", "robot", "timestep")
 
-@dataclass
-class PoseGraph:
-    """Directed pose graph; a plain value type (copy freely, mutate locally)."""
-
-    vertices: dict[int, Vertex] = field(default_factory=dict)
-    edges: list[EdgeMeasurement] = field(default_factory=list)
-
-    def add_vertex(self, vid, robot=0, timestep=0, estimate=None, truth=None):
-        if vid in self.vertices:
-            raise GraphError(f"duplicate vertex id {vid}")
-        if timestep < 0:
-            raise GraphError(f"negative timestep on vertex {vid}")
-        estimate = estimate or Pose2(0, 0, 0)
-        for name, pose in (("estimate", estimate), ("truth", truth)):
-            if pose is not None and not _is_finite(pose):
-                raise GraphError(f"non-finite {name} {pose} on vertex {vid}")
-        self.vertices[vid] = Vertex(robot, timestep, estimate, truth)
-
-    def add_edge(self, edge: EdgeMeasurement):
-        for vid in (edge.from_id, edge.to_id):
-            if vid not in self.vertices:
-                raise GraphError(f"edge references unknown vertex {vid}")
-        if edge.origin == EdgeOrigin.ODOMETRY:
-            u, v = self.vertices[edge.from_id], self.vertices[edge.to_id]
-            if u.robot != v.robot or abs(u.timestep - v.timestep) != 1:
-                raise GraphError(
-                    f"odometry edge {edge.from_id}->{edge.to_id} does not connect "
-                    "consecutive timesteps of one robot"
-                )
-        self.edges.append(edge)
-
-    def copy(self) -> "PoseGraph":
-        g = PoseGraph()
-        g.vertices = {
-            vid: Vertex(v.robot, v.timestep, v.estimate, v.truth)
-            for vid, v in self.vertices.items()
-        }
-        g.edges = list(self.edges)
-        return g
-
-    def has_full_ground_truth(self) -> bool:
-        return all(v.truth is not None for v in self.vertices.values())
+    def __init__(self, g: PoseGraph, row: int):
+        self._g, self._row = g, row
+        self.robot, self.timestep = int(g.robot[row]), int(g.timestep[row])
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
+    def estimate(self) -> Pose2:
+        return _pose(self._g.estimates, self._row)
+
+    @estimate.setter
+    def estimate(self, pose: Pose2):
+        self._g.estimates[self._row] = (pose.x, pose.y, pose.theta)
 
     @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    def truth(self) -> Pose2 | None:
+        t = self._g.truths[self._row].tolist()
+        return None if math.isnan(t[0]) else Pose2(*t)
+
+    @truth.setter
+    def truth(self, pose: Pose2 | None):
+        self._g.truths[self._row] = math.nan if pose is None else (pose.x, pose.y, pose.theta)
 
 
-@dataclass(frozen=True)
-class ResidualWeights:
-    """Relative weighting of rotational vs translational residual terms."""
+class _Vertices(Mapping):
+    def __init__(self, g: PoseGraph):
+        self._g = g
 
-    w_rot: float = 1.0
-    w_trans: float = 1.0
+    def __len__(self):
+        return self._g.num_vertices
 
-    def __post_init__(self):
-        if self.w_rot <= 0 or self.w_trans <= 0:
-            raise GraphError("residual weights must be positive")
+    def __iter__(self):
+        return iter(self._g.vids.tolist())
 
-
-class GraphArrays(NamedTuple):
-    """Dense view of a graph, pose arrays ordered (x, y, theta)."""
-
-    vids: list[int]  # sorted vertex ids
-    estimates: np.ndarray  # (N, 3)
-    truths: np.ndarray  # (N, 3), NaN rows where a vertex has no ground truth
-    edges: list[EdgeMeasurement]
-    e_from: np.ndarray  # (E,) row of each edge's source vertex
-    e_to: np.ndarray  # (E,) row of each edge's target vertex
-    meas: np.ndarray  # (E, 3) measurements
+    def __getitem__(self, vid):
+        row = int(self._g.rows_of(vid))
+        if row < 0:
+            raise KeyError(vid)
+        return _Vertex(self._g, row)
 
 
-def _pose_rows(poses) -> np.ndarray:
-    return np.array([(math.nan,) * 3 if p is None else (p.x, p.y, p.theta) for p in poses]).reshape(-1, 3)
+class _Edges(Sequence):
+    def __init__(self, g: PoseGraph):
+        self._g = g
 
+    def __len__(self):
+        return self._g.num_edges
 
-def graph_arrays(g: PoseGraph, edge_order=None) -> GraphArrays:
-    """Arrays of ``g``'s vertices and edges.
-
-    Edges are sorted by the keys ``edge_order[i]`` when given (e.g. global
-    edge ids), else kept in list order.
-    """
-    vids = sorted(g.vertices)
-    index = {vid: i for i, vid in enumerate(vids)}
-    vertices = [g.vertices[v] for v in vids]
-    edges = g.edges
-    if edge_order is not None:
-        edges = [edges[i] for i in sorted(range(len(edges)), key=lambda i: edge_order[i])]
-    return GraphArrays(
-        vids,
-        _pose_rows(v.estimate for v in vertices),
-        _pose_rows(v.truth for v in vertices),
-        edges,
-        np.array([index[e.from_id] for e in edges], dtype=np.intp),
-        np.array([index[e.to_id] for e in edges], dtype=np.intp),
-        _pose_rows(e.rel for e in edges),
-    )
+    def __getitem__(self, k):
+        g = self._g
+        return Edge(int(g.from_ids[k]), int(g.to_ids[k]), _pose(g.meas, k), g.info[k], EdgeOrigin(int(g.origin[k])))
 
 
 def se2_residuals(xp: np.ndarray, xq: np.ndarray, meas: np.ndarray) -> np.ndarray:
@@ -210,28 +280,10 @@ def se2_residuals(xp: np.ndarray, xq: np.ndarray, meas: np.ndarray) -> np.ndarra
     return np.stack([dtheta, c * dx + s * dy - meas[:, 0], -s * dx + c * dy - meas[:, 1]], axis=1)
 
 
-def edge_residual(edge: EdgeMeasurement, xp: Pose2, xq: Pose2) -> np.ndarray:
-    """Residual (dtheta, dx, dy) of one edge given endpoint estimates xp, xq."""
-    return se2_residuals(*(np.array([(p.x, p.y, p.theta)]) for p in (xp, xq, edge.rel)))[0]
-
-
-def objective(g: PoseGraph, weights: ResidualWeights | None = None) -> float:
+def objective(g: PoseGraph) -> float:
     """Global least-squares objective over all edges (non-negative)."""
-    w = weights or ResidualWeights()
-    a = graph_arrays(g)
-    r = se2_residuals(a.estimates[a.e_from], a.estimates[a.e_to], a.meas)
-    return float(w.w_rot**2 * (r[:, 0] ** 2).sum() + w.w_trans**2 * (r[:, 1:] ** 2).sum())
-
-
-def truth_relative(g: PoseGraph, edge: EdgeMeasurement) -> Pose2:
-    """Ground-truth relative transform of an edge."""
-    tp = g.vertices[edge.from_id].truth
-    tq = g.vertices[edge.to_id].truth
-    if tp is None or tq is None:
-        raise MissingGroundTruth(
-            f"edge {edge.from_id}->{edge.to_id} has an endpoint without ground truth"
-        )
-    return relative(tp, tq)
+    r = se2_residuals(g.estimates[g.e_from], g.estimates[g.e_to], g.meas)
+    return float((r[:, 0] ** 2).sum() + (r[:, 1:] ** 2).sum())
 
 
 def localization_error(g: PoseGraph) -> float:
@@ -240,23 +292,21 @@ def localization_error(g: PoseGraph) -> float:
     The residual at the ground-truth poses is the negated measurement-vs-truth
     discrepancy, so its information quadratic is the same.
     """
-    a = graph_arrays(g)
-    tp, tq = a.truths[a.e_from], a.truths[a.e_to]
+    tp, tq = g.truths[g.e_from], g.truths[g.e_to]
     missing = np.isnan(tp[:, 0]) | np.isnan(tq[:, 0])
     if missing.any():
-        e = a.edges[int(np.argmax(missing))]
-        raise MissingGroundTruth(f"edge {e.from_id}->{e.to_id} has an endpoint without ground truth")
-    r = se2_residuals(tp, tq, a.meas)
-    info = np.array([e.info for e in a.edges]).reshape(-1, 3, 3)
-    return float(np.einsum("ei,eij,ej->", r, info, r))
+        k = int(np.argmax(missing))
+        raise MissingGroundTruth(f"edge {g.from_ids[k]}->{g.to_ids[k]} has an endpoint without ground truth")
+    r = se2_residuals(tp, tq, g.meas)
+    return float(np.einsum("ei,eij,ej->", r, g.info, r))
 
 
 def adjacency(g: PoseGraph) -> dict[int, dict[int, float]]:
     """Undirected adjacency; weights count the edges between two vertices."""
-    adj: dict[int, dict[int, float]] = {vid: {} for vid in g.vertices}
-    for e in g.edges:
-        adj[e.from_id][e.to_id] = adj[e.from_id].get(e.to_id, 0.0) + 1.0
-        adj[e.to_id][e.from_id] = adj[e.to_id].get(e.from_id, 0.0) + 1.0
+    adj: dict[int, dict[int, float]] = {vid: {} for vid in g.vids.tolist()}
+    for u, v in zip(g.from_ids.tolist(), g.to_ids.tolist()):
+        adj[u][v] = adj[u].get(v, 0.0) + 1.0
+        adj[v][u] = adj[v].get(u, 0.0) + 1.0
     return adj
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from ..graph import EdgeOrigin, PoseGraph, graph_arrays, se2_residuals
+from ..graph import EdgeOrigin, PoseGraph, se2_residuals
 from . import autodiff as ad
 from .autodiff import Tensor, constant
 
@@ -126,27 +126,24 @@ def snapshot_from_graph(g: PoseGraph, edge_order=None) -> GraphSnapshot:
     aggregation sums in this order, making forward passes bit-reproducible
     under input permutations.
     """
-    a = graph_arrays(g, edge_order)
-    node_xyt, edges, e_from = a.estimates, a.edges, a.e_from
-    node_feat = np.zeros((len(a.vids), NODE_DIM))
+    order = np.arange(g.num_edges) if edge_order is None else np.argsort(edge_order, kind="stable")
+    node_xyt, e_from, e_to = g.estimates.copy(), g.e_from[order], g.e_to[order]
+    node_feat = np.zeros((g.num_vertices, NODE_DIM))
     node_feat[:, 0] = node_xyt[:, 0]
     node_feat[:, 1] = node_xyt[:, 1]
     node_feat[:, 2] = np.sin(node_xyt[:, 2])
     node_feat[:, 3] = np.cos(node_xyt[:, 2])
 
-    origins = np.array([int(e.origin) for e in edges], dtype=np.intp)
-    loginfo = np.log(np.array([e.info for e in edges]).reshape(-1, 3, 3).diagonal(axis1=1, axis2=2))
-    gaps = np.array(
-        [abs(g.vertices[e.from_id].timestep - g.vertices[e.to_id].timestep) for e in edges],
-        dtype=float,
-    )
+    origins = g.origin[order].astype(np.intp)
+    loginfo = np.log(g.info[order].diagonal(axis1=1, axis2=2))
+    gaps = np.abs(g.timestep[e_from] - g.timestep[e_to]).astype(float)
 
-    n, m = len(a.vids), len(edges)
+    n, m = g.num_vertices, g.num_edges
     deg = np.zeros(n)
     np.add.at(deg, e_from, 1.0)
     vals = 1.0 / deg[e_from] if m else np.zeros(0)
     agg = sp.csr_matrix((vals, (e_from, np.arange(m))), shape=(n, m))
-    return GraphSnapshot(a.vids, node_xyt, node_feat, e_from, a.e_to, origins, loginfo, gaps, a.meas, agg)
+    return GraphSnapshot(g.vids.tolist(), node_xyt, node_feat, e_from, e_to, origins, loginfo, gaps, g.meas[order], agg)
 
 
 def edge_residuals(snapshot: GraphSnapshot, meas: np.ndarray) -> np.ndarray:
@@ -305,15 +302,9 @@ def l1_gate_penalty(gates, weight: float):
 def prune(g: PoseGraph, gates, threshold: float) -> PoseGraph:
     """Drop non-odometry edges whose gate falls below the threshold."""
     gates = np.asarray(gates, dtype=float).reshape(-1)
-    if gates.shape[0] != len(g.edges):
+    if gates.shape[0] != g.num_edges:
         raise ValueError("need one gate value per edge")
-    out = g.copy()
-    out.edges = [
-        e
-        for e, z in zip(g.edges, gates)
-        if e.origin == EdgeOrigin.ODOMETRY or z >= threshold
-    ]
-    return out
+    return g.subgraph(slice(None), (g.origin == EdgeOrigin.ODOMETRY) | (gates >= threshold))
 
 
 # -- GRU memory stack ---------------------------------------------------------

@@ -16,8 +16,10 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geometry import Pose2, wrap_angle  # noqa: F401  perfbench counts wrap_angle calls per importing module
-from .graph import GraphError, PoseGraph, adjacency, components, is_connected
+from .graph import EDGE_FIELDS, VERTEX_FIELDS, GraphError, PoseGraph, adjacency, components, is_connected
 
 
 class DisconnectedInput(GraphError):
@@ -35,8 +37,8 @@ class Partition:
     # separator vertex id -> sorted indices of the blocks holding a copy of
     # it; subgraphs reuse the global vertex numbering.
     separators: dict[int, list[int]]
-    # per subgraph, the global edge index of each local edge (same order)
-    edge_gids: list[list[int]] = field(default_factory=list)
+    # per subgraph, the global edge index of each local edge (same order, increasing)
+    edge_gids: list[np.ndarray] = field(default_factory=list)
 
     @property
     def n_blocks(self) -> int:
@@ -281,11 +283,12 @@ def partition(g: PoseGraph, n: int, balance_tol: float = 0.15) -> Partition:
     if not is_connected(adj):
         raise DisconnectedInput("input pose graph is not connected")
 
+    vids = g.vids.tolist()
     if n == 1:
-        assign = {vid: 0 for vid in g.vertices}
+        assign = {vid: 0 for vid in vids}
     else:
-        weights = {vid: 1.0 for vid in g.vertices}
-        levels = [(sorted(g.vertices), adj, weights, None)]
+        weights = {vid: 1.0 for vid in vids}
+        levels = [(vids, adj, weights, None)]
         nodes, cur_adj, cur_w = levels[0][0], adj, weights
         while len(nodes) > max(20, 4 * n):
             mapping, cnodes, cadj, cw = _coarsen(nodes, cur_adj, cur_w)
@@ -302,33 +305,25 @@ def partition(g: PoseGraph, n: int, balance_tol: float = 0.15) -> Partition:
             assign = {u: assign[mapping[u]] for u in fine_nodes}
             assign = _refine(assign, fine_adj, fine_w, n, cap)
         assign = _repair_connectivity(assign, adj, n)
-        assign = _rebalance_connected(assign, adj, {vid: 1.0 for vid in g.vertices}, n, cap)
+        assign = _rebalance_connected(assign, adj, {vid: 1.0 for vid in vids}, n, cap)
 
     return _build_partition(g, assign, n)
 
 
 def _build_partition(g: PoseGraph, assign: dict[int, int], n: int) -> Partition:
-    dup_blocks: dict[int, set[int]] = defaultdict(set)
-    for e in g.edges:
-        bu, bv = assign[e.from_id], assign[e.to_id]
-        if bu != bv:
-            dup_blocks[e.from_id].update((bu, bv))
-            dup_blocks[e.to_id].update((bu, bv))
-
-    subgraphs = [PoseGraph() for _ in range(n)]
-    for vid in g.vertices:
-        v = g.vertices[vid]
-        holders = {assign[vid]} | dup_blocks.get(vid, set())
-        for b in sorted(holders):
-            subgraphs[b].add_vertex(vid, v.robot, v.timestep, v.estimate, v.truth)
-
-    edge_gids: list[list[int]] = [[] for _ in range(n)]
-    for gid, e in enumerate(g.edges):
-        b = assign[e.from_id]
-        subgraphs[b].add_edge(e)
-        edge_gids[b].append(gid)
-
-    separators = {vid: sorted(blocks) for vid, blocks in sorted(dup_blocks.items())}
+    owner = np.array([assign[vid] for vid in g.vids.tolist()], dtype=np.intp)
+    b_from, b_to = owner[g.e_from], owner[g.e_to]
+    cut = b_from != b_to
+    # holds[v, b]: block b has a copy of vertex row v
+    holds = np.zeros((g.num_vertices, n), dtype=bool)
+    holds[np.arange(g.num_vertices), owner] = True
+    for rows in (g.e_from[cut], g.e_to[cut]):
+        holds[rows, b_from[cut]] = holds[rows, b_to[cut]] = True
+    edge_gids = [np.flatnonzero(b_from == b) for b in range(n)]
+    subgraphs = [g.subgraph(holds[:, b], gids) for b, gids in enumerate(edge_gids)]
+    separators = {
+        int(g.vids[v]): np.flatnonzero(holds[v]).tolist() for v in np.flatnonzero(holds.sum(axis=1) > 1)
+    }
     return Partition(subgraphs, dict(assign), separators, edge_gids)
 
 
@@ -342,23 +337,14 @@ def merge(p: Partition, resolved: dict[int, Pose2]) -> PoseGraph:
         if vid not in resolved:
             raise UnresolvedSeparator(f"separator vertex {vid} has no resolved pose")
 
-    merged = PoseGraph()
-    entries = []
-    for b, sub in enumerate(p.subgraphs):
-        for vid, v in sub.vertices.items():
-            if p.owner[vid] == b:
-                est = resolved[vid] if vid in p.separators else v.estimate
-                entries.append((vid, v.robot, v.timestep, est, v.truth))
-    for vid, robot, ts, est, truth in sorted(entries):
-        merged.add_vertex(vid, robot, ts, est, truth)
-
-    order = []
-    for b, sub in enumerate(p.subgraphs):
-        for gid, e in zip(p.edge_gids[b], sub.edges):
-            order.append((gid, e))
-    for _, e in sorted(order, key=lambda t: t[0]):
-        merged.add_edge(e)
-    return merged
+    owned = [np.array([p.owner[v] == b for v in sub.vids.tolist()], dtype=bool) for b, sub in enumerate(p.subgraphs)]
+    vertices = {f: np.concatenate([getattr(s, f)[own] for s, own in zip(p.subgraphs, owned)]) for f in VERTEX_FIELDS}
+    sep = np.flatnonzero(np.isin(vertices["vids"], list(p.separators)))
+    poses = [resolved[vid].as_vector() for vid in vertices["vids"][sep].tolist()]
+    vertices["estimates"][sep] = np.reshape(poses, (-1, 3))
+    order = np.argsort(np.concatenate([np.asarray(gids, dtype=np.intp) for gids in p.edge_gids]), kind="stable")
+    edges = {f: np.concatenate([getattr(sub, f) for sub in p.subgraphs])[order] for f in EDGE_FIELDS}
+    return PoseGraph(**vertices, **edges)
 
 
 def partition_manifest(p: Partition) -> dict:

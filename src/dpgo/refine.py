@@ -1,7 +1,7 @@
 """Levenberg-Marquardt refinement of pose-graph estimates.
 
-Minimizes the global objective (rotation/translation-weighted squared
-residuals of :func:`dpgo.graph.se2_residuals`) by damped Gauss-Newton steps
+Minimizes the global objective (the sum of squared residuals of
+:func:`dpgo.graph.se2_residuals`) by damped Gauss-Newton steps
 with analytic Jacobians, solving sparse normal equations by sparse LU. Each
 solve chooses the elimination order once, from the graph: a symmetric
 minimum-degree order of the block graph of H (one node per free vertex,
@@ -23,14 +23,14 @@ consensus layer) pull selected vertices toward target poses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import Pose2, wrap_angle
-from .graph import GraphError, PoseGraph, ResidualWeights, graph_arrays, se2_residuals
+from .geometry import wrap_angle
+from .graph import GraphError, PoseGraph, se2_residuals
 
 
 class SingularNormalEquations(GraphError):
@@ -82,23 +82,21 @@ class LMResult:
     stop: str  # "gtol", "ftol", "max_iters" or "floor" (no finite step lowers f)
 
 
-def _residuals_jacobians(x, e_from, e_to, meas, w: ResidualWeights):
-    """Weighted residuals (E, 3) and their Jacobian blocks A, B (E, 3, 3)
-    with respect to the source and target poses (x, y, theta)."""
+def _residuals_jacobians(x, e_from, e_to, meas):
+    """Residuals (E, 3) and their Jacobian blocks A, B (E, 3, 3) with respect
+    to the source and target poses (x, y, theta)."""
     xp = x[e_from]
-    wr, wt = w.w_rot, w.w_trans
     r = se2_residuals(xp, x[e_to], meas)
     # R_p^T (t_q - t_p): the residual's translation plus the measured one
     tx, ty = r[:, 1] + meas[:, 0], r[:, 2] + meas[:, 1]
-    r *= np.array([wr, wt, wt])
     c, s = np.cos(xp[:, 2]), np.sin(xp[:, 2])
     b = np.zeros((len(e_from), 3, 3))
-    b[:, 0, 2] = wr
-    b[:, 1, 0], b[:, 1, 1] = wt * c, wt * s
-    b[:, 2, 0], b[:, 2, 1] = -wt * s, wt * c
+    b[:, 0, 2] = 1.0
+    b[:, 1, 0], b[:, 1, 1] = c, s
+    b[:, 2, 0], b[:, 2, 1] = -s, c
     a = -b
-    a[:, 1, 2] = wt * ty
-    a[:, 2, 2] = -wt * tx
+    a[:, 1, 2] = ty
+    a[:, 2, 2] = -tx
     return r, a, b
 
 
@@ -109,8 +107,8 @@ def _prior_residuals(x, rows, targets, sqrt_w):
     return np.einsum("pij,pj->pi", sqrt_w, d)
 
 
-def _objective_value(x, e_from, e_to, meas, w, prior):
-    r = se2_residuals(x[e_from], x[e_to], meas) * np.array([w.w_rot, w.w_trans, w.w_trans])
+def _objective_value(x, e_from, e_to, meas, prior):
+    r = se2_residuals(x[e_from], x[e_to], meas)
     rp = _prior_residuals(x, *prior)
     return float((r * r).sum()) + float((rp * rp).sum())
 
@@ -178,9 +176,9 @@ class _NormalEquations:
         self.g_scatter = np.where(gv[:, None] >= 0, 3 * gv[:, None] + k, self.n).ravel()
         self.prior_blocks = np.einsum("pji,pjk->pik", sqrt_w, sqrt_w).ravel()
 
-    def assemble(self, x, e_from, e_to, meas, w, prior):
+    def assemble(self, x, e_from, e_to, meas, prior):
         """H's CSC ``data`` and the gradient g at the pose array ``x``."""
-        r, a, b = _residuals_jacobians(x, e_from, e_to, meas, w)
+        r, a, b = _residuals_jacobians(x, e_from, e_to, meas)
         rp = _prior_residuals(x, *prior)
         jac = np.concatenate([a, b], axis=2)  # (E, 3, 6): [A B]
         jac_t = jac.transpose(0, 2, 1)
@@ -206,31 +204,36 @@ class _NormalEquations:
 
 def lm_refine_full(
     g: PoseGraph,
-    weights: ResidualWeights | None = None,
     cfg: LMConfig | None = None,
     *,
     anchor: int | None = None,
     priors: tuple = (),
 ) -> LMResult:
-    w = weights or ResidualWeights()
     cfg = cfg or LMConfig()
-    a = graph_arrays(g)
-    vids, x, e_from, e_to, meas = a.vids, a.estimates, a.e_from, a.e_to, a.meas
+    x, e_from, e_to, meas = g.estimates.copy(), g.e_from, g.e_to, g.meas
     if anchor is None:
-        anchor = vids[0]
-    free = np.flatnonzero(np.array(vids) != anchor)
-    free_of = np.full(len(vids), -1, dtype=np.intp)
-    free_of[free] = np.arange(len(free))
-    n_free = len(free)
-    index = {vid: i for i, vid in enumerate(vids)}
+        anchor = int(g.vids[0])
+    p_vids = [p.vertex for p in priors]
+    rows = g.rows_of([anchor] + p_vids)
+    if rows[0] < 0:
+        raise GraphError(f"anchor {anchor} is not a vertex of the graph")
+    if (rows[1:] < 0).any():
+        raise GraphError(f"PriorFactor.vertex {p_vids[int(np.argmax(rows[1:] < 0))]} is not a vertex of the graph")
     prior = (
-        np.array([index[p.vertex] for p in priors], dtype=np.intp),
+        rows[1:],
         np.array([p.target for p in priors], dtype=float).reshape(-1, 3),
         np.array([p.sqrt_weight for p in priors], dtype=float).reshape(-1, 3, 3),
     )
+    finite = np.isfinite(prior[1]).all(axis=1)
+    if not finite.all():
+        raise GraphError(f"PriorFactor.target on vertex {p_vids[int(np.argmin(finite))]} is not finite")
+    free = np.flatnonzero(np.arange(g.num_vertices) != rows[0])
+    free_of = np.full(g.num_vertices, -1, dtype=np.intp)
+    free_of[free] = np.arange(len(free))
+    n_free = len(free)
 
     iterates: list[LMIterate] = []
-    f_cur = _objective_value(x, e_from, e_to, meas, w, prior)
+    f_cur = _objective_value(x, e_from, e_to, meas, prior)
     mu = cfg.mu0
     it = 0
     # with nothing free or nothing to fit, the gradient is empty or zero
@@ -242,7 +245,7 @@ def lm_refine_full(
         if it >= cfg.max_iters:
             stop = "max_iters"
             break
-        h, grad = neq.assemble(x, e_from, e_to, meas, w, prior)
+        h, grad = neq.assemble(x, e_from, e_to, meas, prior)
         if np.abs(grad).max() < cfg.gtol:
             stop = "gtol"
             break
@@ -260,7 +263,7 @@ def lm_refine_full(
                 x_try = x.copy()
                 x_try[free] += delta.reshape(-1, 3)
                 x_try[free, 2] = wrap_angle(x_try[free, 2])
-                f_try = _objective_value(x_try, e_from, e_to, meas, w, prior)
+                f_try = _objective_value(x_try, e_from, e_to, meas, prior)
             else:
                 f_try = math.inf
             step_norm = float(np.linalg.norm(delta))
@@ -281,21 +284,17 @@ def lm_refine_full(
                 stop = "floor"
                 break
 
-    out = g.copy()
-    for vid, pose in zip(vids, x.tolist()):
-        out.vertices[vid].estimate = Pose2(*pose)
-    return LMResult(out, iterates, anchor, stop)
+    return LMResult(replace(g, estimates=x), iterates, anchor, stop)
 
 
 def lm_refine(
     g: PoseGraph,
-    weights: ResidualWeights | None = None,
     cfg: LMConfig | None = None,
     *,
     anchor: int | None = None,
 ) -> tuple[PoseGraph, list[LMIterate]]:
     """Refine vertex estimates; returns the new graph and the iteration log."""
-    res = lm_refine_full(g, weights, cfg, anchor=anchor)
+    res = lm_refine_full(g, cfg=cfg, anchor=anchor)
     return res.graph, res.iterates
 
 

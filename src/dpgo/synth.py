@@ -11,12 +11,12 @@ odometry, so they drift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import Pose2, compose, relative, wrap_angle
-from .graph import EdgeMeasurement, EdgeOrigin, GraphError, PoseGraph, adjacency, is_connected
+from .graph import EdgeOrigin, GraphError, PoseGraph, adjacency, is_connected
 
 PROXIMITY_RADIUS = 2.5  # meters between ground-truth positions
 TURN_PROBABILITY = 0.25
@@ -77,9 +77,13 @@ class GenSpec:
             raise InvalidSpec("loop_ratio must be in [0, 1]")
 
 
-def _info_for(sigma: float) -> np.ndarray:
-    s = max(sigma, _SIGMA_FLOOR)
-    return np.diag([1.0 / s**2] * 3)
+def _info_for(sigmas) -> np.ndarray:
+    """(E, 3, 3) isotropic information matrices of the std-devs ``sigmas``."""
+    return np.eye(3) / np.maximum(sigmas, _SIGMA_FLOOR)[:, None, None] ** 2
+
+
+def _pose_array(poses) -> np.ndarray:
+    return np.array([(p.x, p.y, p.theta) for p in poses]).reshape(-1, 3)
 
 
 def _noisy_rel(rel: Pose2, sigma: float, rng) -> Pose2:
@@ -118,32 +122,31 @@ def generate(spec: GenSpec) -> PoseGraph:
 def _generate_once(spec: GenSpec, rng) -> PoseGraph | None:
     n, p = spec.n_robots, spec.poses_per_robot
     prof = spec.profile
-    truths = [
+    walks = [
         _walk(rng, p - 1, Pose2(ROBOT_SPACING * r, 0.0, 0.0)) for r in range(n)
     ]
+    truth = [pose for walk in walks for pose in walk]  # vertex r * p + t is robot r at timestep t
+    estimates, ends, meas, sigmas, origins = [], [], [], [], []
 
-    g = PoseGraph()
-    for r in range(n):
-        for t in range(p):
-            g.add_vertex(r * p + t, robot=r, timestep=t, truth=truths[r][t])
+    def measure(i, j, sigma, origin):
+        ends.append((i, j))
+        meas.append(_noisy_rel(relative(truth[i], truth[j]), sigma, rng))
+        sigmas.append(sigma)
+        origins.append(origin)
 
     # odometry chains + dead-reckoned estimates
     for r in range(n):
-        est = truths[r][0]
-        g.vertices[r * p].estimate = est
+        est = walks[r][0]
+        estimates.append(est)
         for t in range(p - 1):
-            rel = relative(truths[r][t], truths[r][t + 1])
-            noisy = _noisy_rel(rel, prof.sigma_odom, rng)
-            g.add_edge(
-                EdgeMeasurement(r * p + t, r * p + t + 1, noisy, _info_for(prof.sigma_odom), EdgeOrigin.ODOMETRY)
-            )
-            est = compose(est, noisy)
-            g.vertices[r * p + t + 1].estimate = est
+            measure(r * p + t, r * p + t + 1, prof.sigma_odom, EdgeOrigin.ODOMETRY)
+            est = compose(est, meas[-1])
+            estimates.append(est)
 
     # intra-robot loop closures among non-consecutive proximate pairs
     intra_pairs = []
     for r in range(n):
-        pts = np.array([[q.x, q.y] for q in truths[r]])
+        pts = np.array([[q.x, q.y] for q in walks[r]])
         for s in range(p):
             d = np.hypot(pts[s + 2 :, 0] - pts[s, 0], pts[s + 2 :, 1] - pts[s, 1])
             for off in np.nonzero(d <= PROXIMITY_RADIUS)[0]:
@@ -151,18 +154,14 @@ def _generate_once(spec: GenSpec, rng) -> PoseGraph | None:
     k_intra = int(np.rint(spec.loop_ratio * len(intra_pairs)))
     chosen = rng.choice(len(intra_pairs), size=k_intra, replace=False) if k_intra else []
     for idx in sorted(int(i) for i in np.atleast_1d(chosen)):
-        i, j = intra_pairs[idx]
-        rel = relative(g.vertices[i].truth, g.vertices[j].truth)
-        g.add_edge(
-            EdgeMeasurement(i, j, _noisy_rel(rel, prof.sigma_intraloop, rng), _info_for(prof.sigma_intraloop), EdgeOrigin.INTRA_LOOP)
-        )
+        measure(*intra_pairs[idx], prof.sigma_intraloop, EdgeOrigin.INTRA_LOOP)
 
     # inter-robot edges among proximate cross-robot pairs
     inter_pairs = []
     for ra in range(n):
-        pa = np.array([[q.x, q.y] for q in truths[ra]])
+        pa = np.array([[q.x, q.y] for q in walks[ra]])
         for rb in range(ra + 1, n):
-            pb = np.array([[q.x, q.y] for q in truths[rb]])
+            pb = np.array([[q.x, q.y] for q in walks[rb]])
             d = np.hypot(pa[:, None, 0] - pb[None, :, 0], pa[:, None, 1] - pb[None, :, 1])
             for s, t in zip(*np.nonzero(d <= PROXIMITY_RADIUS)):
                 inter_pairs.append((ra * p + int(s), rb * p + int(t)))
@@ -183,24 +182,24 @@ def _generate_once(spec: GenSpec, rng) -> PoseGraph | None:
             best = min(
                 group,
                 key=lambda item: math.hypot(
-                    g.vertices[item[1][0]].truth.x - g.vertices[item[1][1]].truth.x,
-                    g.vertices[item[1][0]].truth.y - g.vertices[item[1][1]].truth.y,
+                    truth[item[1][0]].x - truth[item[1][1]].x,
+                    truth[item[1][0]].y - truth[item[1][1]].y,
                 ),
             )
             chosen_set.add(best[0])
 
     for idx in sorted(chosen_set):
         i, j = inter_pairs[idx]
-        gap = abs(g.vertices[i].timestep - g.vertices[j].timestep)
-        origin = EdgeOrigin.INTER_ESTIMATE if gap <= 1 else EdgeOrigin.INTER_LOOP
-        rel = relative(g.vertices[i].truth, g.vertices[j].truth)
-        g.add_edge(
-            EdgeMeasurement(i, j, _noisy_rel(rel, prof.sigma_inter, rng), _info_for(prof.sigma_inter), origin)
-        )
+        origin = EdgeOrigin.INTER_ESTIMATE if abs(i % p - j % p) <= 1 else EdgeOrigin.INTER_LOOP
+        measure(i, j, prof.sigma_inter, origin)
 
-    if not is_connected(adjacency(g)):
-        return None
-    return g
+    ends = np.array(ends)
+    g = PoseGraph(
+        np.arange(n * p), np.repeat(np.arange(n), p), np.tile(np.arange(p), n),
+        _pose_array(estimates), _pose_array(truth),
+        ends[:, 0], ends[:, 1], _pose_array(meas), _info_for(np.array(sigmas)), origins,
+    )
+    return g if is_connected(adjacency(g)) else None
 
 
 def inject_outliers(g: PoseGraph, fraction: float, seed: int) -> tuple[PoseGraph, frozenset[int]]:
@@ -213,22 +212,17 @@ def inject_outliers(g: PoseGraph, fraction: float, seed: int) -> tuple[PoseGraph
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
-    eligible = [i for i, e in enumerate(g.edges) if e.origin != EdgeOrigin.ODOMETRY]
-    if not eligible:
+    eligible = np.flatnonzero(g.origin != EdgeOrigin.ODOMETRY)
+    if not eligible.size:
         raise NoEligibleEdges("graph has no loop-closure or inter-robot edges")
     k = int(np.rint(fraction * len(eligible)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     chosen = sorted(int(i) for i in (rng.choice(len(eligible), size=k, replace=False) if k else []))
-    l_avg = float(np.mean([math.hypot(e.rel.x, e.rel.y) for e in g.edges]))
+    l_avg = float(np.mean([math.hypot(x, y) for x, y in g.meas[:, :2].tolist()]))
 
-    out = g.copy()
-    corrupted = []
+    meas = g.meas.copy()
     for idx in chosen:
-        gid = eligible[idx]
-        e = out.edges[gid]
         theta = rng.uniform(-math.pi, math.pi)
         t = rng.normal(0.0, 0.5 * l_avg, size=2)
-        out.edges[gid] = EdgeMeasurement(e.from_id, e.to_id, Pose2(t[0], t[1], theta), e.info, e.origin)
-        corrupted.append(gid)
-    return out, frozenset(corrupted)
-
+        meas[eligible[idx]] = (t[0], t[1], theta)
+    return replace(g, meas=meas), frozenset(int(eligible[idx]) for idx in chosen)

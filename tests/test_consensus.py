@@ -5,9 +5,11 @@ import pytest
 
 from dpgo.consensus import AdmmConfig, admm_consensus, information_weighted_mean
 from dpgo.geometry import Pose2, wrap_angle
-from dpgo.graph import EdgeMeasurement, EdgeOrigin, PoseGraph
+from dpgo.graph import EdgeOrigin
 from dpgo.partition import Partition, merge, partition
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate
+
+from conftest import edge, make_graph, vertex
 
 
 def test_weighted_mean_closed_form():
@@ -50,16 +52,14 @@ def test_weighted_mean_groups_match_separate_calls():
 
 def two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1):
     """Two anchored chains observing one shared vertex with different stiffness."""
-    g0 = PoseGraph()
-    g0.add_vertex(0, robot=0, estimate=Pose2(0, 0, 0))
-    g0.add_vertex(10, robot=0, timestep=2, estimate=Pose2(p0, 0, 0))
-    for _ in range(n0):
-        g0.add_edge(EdgeMeasurement(0, 10, Pose2(p0, 0, 0), np.eye(3), EdgeOrigin.INTRA_LOOP))
-    g1 = PoseGraph()
-    g1.add_vertex(1, robot=1, estimate=Pose2(0, 0, 0))
-    g1.add_vertex(10, robot=1, timestep=2, estimate=Pose2(p1, 0, 0))
-    for _ in range(n1):
-        g1.add_edge(EdgeMeasurement(1, 10, Pose2(p1, 0, 0), np.eye(3), EdgeOrigin.INTRA_LOOP))
+    g0 = make_graph(
+        [vertex(0, robot=0, estimate=Pose2(0, 0, 0)), vertex(10, robot=0, timestep=2, estimate=Pose2(p0, 0, 0))],
+        [edge(0, 10, Pose2(p0, 0, 0), np.eye(3), EdgeOrigin.INTRA_LOOP) for _ in range(n0)],
+    )
+    g1 = make_graph(
+        [vertex(1, robot=1, estimate=Pose2(0, 0, 0)), vertex(10, robot=1, timestep=2, estimate=Pose2(p1, 0, 0))],
+        [edge(1, 10, Pose2(p1, 0, 0), np.eye(3), EdgeOrigin.INTRA_LOOP) for _ in range(n1)],
+    )
     part = Partition(
         subgraphs=[g0, g1],
         owner={0: 0, 1: 1, 10: 0},

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpgo.geometry import Pose2
-from dpgo.graph import EdgeMeasurement, EdgeOrigin, PoseGraph, edge_residual
+from dpgo.graph import Edge, EdgeOrigin, se2_residuals
 from dpgo.nn import autodiff as ad
 from dpgo.nn.encoder import (
     EncoderConfig,
@@ -27,7 +27,7 @@ from dpgo.nn.encoder import (
     snapshot_from_graph,
 )
 
-from conftest import rand_graph
+from conftest import edge, make_graph, rand_graph, vertex
 from gradcheck import fd_gradcheck
 
 TINY = EncoderConfig(hidden=6, n_layers=5, edge_hidden=5, gate_hidden=4)
@@ -46,19 +46,19 @@ def batch_of(g, rng=None):
 
 
 def test_edge_attributes_odometry_example():
-    e = EdgeMeasurement(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3), EdgeOrigin.ODOMETRY)
+    e = Edge(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3), EdgeOrigin.ODOMETRY)
     a = edge_attributes(e, timestep_gap=1)
     assert np.allclose(a, [1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1])
 
 
 def test_edge_attributes_pi_angle():
-    e = EdgeMeasurement(0, 1, Pose2(0.0, 0.0, math.pi), np.eye(3), EdgeOrigin.INTRA_LOOP)
+    e = Edge(0, 1, Pose2(0.0, 0.0, math.pi), np.eye(3), EdgeOrigin.INTRA_LOOP)
     a = edge_attributes(e, 3)
     assert abs(a[9]) < 1e-12 and abs(a[10] + 1.0) < 1e-12
 
 
 def test_edge_attributes_log_info_oracle():
-    e = EdgeMeasurement(0, 1, Pose2(0, 0, 0), np.diag([4.0, 4.0, 4.0]), EdgeOrigin.INTER_LOOP)
+    e = Edge(0, 1, Pose2(0, 0, 0), np.diag([4.0, 4.0, 4.0]), EdgeOrigin.INTER_LOOP)
     a = edge_attributes(e, 2)
     assert np.allclose(a[4:7], [math.log(4.0)] * 3)
     assert a[3] == 1.0  # inter-loop one-hot slot
@@ -208,8 +208,7 @@ def test_all_zero_gates_use_only_self_path(rng):
 
 
 def test_single_node_graph(rng):
-    g = PoseGraph()
-    g.add_vertex(0, estimate=Pose2(1.0, -2.0, 0.3))
+    g = make_graph([vertex(0, estimate=Pose2(1.0, -2.0, 0.3))])
     snap = snapshot_from_graph(g)
     batch = make_batch([snap], [snap.meas0])
     params = init_encoder_params(TINY, rng)
@@ -230,10 +229,10 @@ def test_make_batch_rejects_empty_or_mismatched_input(rng):
 
 def test_isolated_vertex_gets_zero_message(rng):
     # last pose of a chain has no outgoing edge -> zero aggregated message
-    g = PoseGraph()
-    for i in range(3):
-        g.add_vertex(i, timestep=i, estimate=Pose2(i, 0, 0))
-    g.add_edge(EdgeMeasurement(0, 1, Pose2(1, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY))
+    g = make_graph(
+        [vertex(i, timestep=i, estimate=Pose2(i, 0, 0)) for i in range(3)],
+        [edge(0, 1, Pose2(1, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY)],
+    )
     snap = snapshot_from_graph(g)
     assert snap.agg.shape == (3, 1)
     assert snap.agg[2].nnz == 0 and snap.agg[1].nnz == 0
@@ -248,8 +247,8 @@ def test_edge_residuals_match_graph_edge_residual(rng):
     assert got.shape == (len(g.edges), 3)
     for row, i in enumerate(sorted(range(len(g.edges)), key=lambda i: order[i])):
         e = g.edges[i]
-        moved = EdgeMeasurement(e.from_id, e.to_id, Pose2(*meas[row]), e.info)
-        want = edge_residual(moved, g.vertices[e.from_id].estimate, g.vertices[e.to_id].estimate)
+        ends = (g.vertices[e.from_id].estimate, g.vertices[e.to_id].estimate, Pose2(*meas[row]))
+        want = se2_residuals(*(np.array([p.as_vector()]) for p in ends))[0]
         assert np.abs(got[row] - want).max() < 1e-12
 
 
@@ -257,9 +256,8 @@ def test_forward_bit_reproducible_under_edge_permutation(rng):
     g = small_graph(rng, n=6, loops=5)
     params = init_encoder_params(TINY, rng)
     snap1 = snapshot_from_graph(g, edge_order=list(range(len(g.edges))))
-    g2 = g.copy()
     perm = list(rng.permutation(len(g.edges)))
-    g2.edges = [g.edges[i] for i in perm]
+    g2 = g.subgraph(slice(None), perm)
     snap2 = snapshot_from_graph(g2, edge_order=perm)
     h1, l1, z1, _ = encoder_forward(params, TINY, make_batch([snap1], [snap1.meas0]))
     h2, l2, z2, _ = encoder_forward(params, TINY, make_batch([snap2], [snap2.meas0]))
@@ -275,17 +273,13 @@ def test_permutation_equivariance(rng):
     h1, l1, _, _ = encoder_forward(params, TINY, make_batch([snap1], [snap1.meas0]))
 
     perm = rng.permutation(7)  # relabel vertex i -> perm[i]
-    g2 = PoseGraph()
-    for i in sorted(int(perm[i]) for i in range(7)):
-        pass
+    vertices = []
     for i in range(7):
         v = g.vertices[i]
-        g2.vertices[int(perm[i])] = type(v)(v.robot, v.timestep, v.estimate, v.truth)
-    g2.vertices = dict(sorted(g2.vertices.items()))
-    for e in g.edges:
-        g2.add_edge(
-            EdgeMeasurement(int(perm[e.from_id]), int(perm[e.to_id]), e.rel, e.info, e.origin)
-        )
+        vertices.append(vertex(int(perm[i]), v.robot, v.timestep, v.estimate, v.truth))
+    g2 = make_graph(
+        vertices, [edge(int(perm[e.from_id]), int(perm[e.to_id]), e.rel, e.info, e.origin) for e in g.edges]
+    )
     snap2 = snapshot_from_graph(g2)
     h2, l2, _, _ = encoder_forward(params, TINY, make_batch([snap2], [snap2.meas0]))
     # row of vertex perm[i] in snap2 equals row of vertex i in snap1
@@ -352,8 +346,9 @@ def test_prune_thresholds(rng):
     pruned_all = prune(g, z, 1.0 + 1e-9)
     assert all(e.origin == EdgeOrigin.ODOMETRY for e in pruned_all.edges)
     mid = prune(g, z, 0.5)
+    mid_keys = {(f.from_id, f.to_id, f.rel) for f in mid.edges}
     for e, zi in zip(g.edges, z):
-        kept = e in mid.edges
+        kept = (e.from_id, e.to_id, e.rel) in mid_keys
         assert kept == (e.origin == EdgeOrigin.ODOMETRY or zi >= 0.5)
 
 

@@ -5,17 +5,21 @@ import pytest
 
 from dpgo.env import Action, AlreadyProcessedEdge, Observation, PoseGraphEnv, RewardConfig
 from dpgo.geometry import Pose2, compose, se2_exp
-from dpgo.graph import EdgeMeasurement, EdgeOrigin, GraphError, PoseGraph, localization_error
+from dpgo.graph import EdgeOrigin, GraphError, localization_error
 from dpgo.synth import GenSpec, generate
+
+from conftest import edge, make_graph, vertex
 
 
 def two_pose_graph(meas_x=2.0):
     """Truth: v1 one meter ahead of v0. One odometry edge measured at meas_x."""
-    g = PoseGraph()
-    g.add_vertex(0, timestep=0, estimate=Pose2(0, 0, 0), truth=Pose2(0, 0, 0))
-    g.add_vertex(1, timestep=1, estimate=Pose2(1, 0, 0), truth=Pose2(1, 0, 0))
-    g.add_edge(EdgeMeasurement(0, 1, Pose2(meas_x, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY))
-    return g
+    return make_graph(
+        [
+            vertex(0, timestep=0, estimate=Pose2(0, 0, 0), truth=Pose2(0, 0, 0)),
+            vertex(1, timestep=1, estimate=Pose2(1, 0, 0), truth=Pose2(1, 0, 0)),
+        ],
+        [edge(0, 1, Pose2(meas_x, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY)],
+    )
 
 
 def first_unprocessed_actions(obs_list, delta=None):
@@ -246,11 +250,14 @@ def test_current_graph_matches_rebuild_through_constructor():
     for _ in range(5):
         obs, _, _, _ = env.step(first_unprocessed_actions(obs, rng.uniform(-0.2, 0.2, 3)))
     got = env.current_graph()
-    want = env.graph.copy()
+    edges = [edge(e.from_id, e.to_id, e.rel, e.info, e.origin) for e in env.graph.edges]
     for b, gids in enumerate(env._gids):
         for i, gid in enumerate(gids):
-            e = want.edges[gid]
-            want.edges[gid] = EdgeMeasurement(e.from_id, e.to_id, Pose2(*env.meas[b][i]), e.info, e.origin)
+            e = edges[gid]
+            edges[gid] = edge(e[0], e[1], Pose2(*env.meas[b][i]), e[3], e[4])
+    want = make_graph(
+        [vertex(vid, v.robot, v.timestep, v.estimate, v.truth) for vid, v in env.graph.vertices.items()], edges
+    )
     assert len(got.edges) == len(want.edges)
     for a, e in zip(got.edges, want.edges):
         assert (a.from_id, a.to_id, a.origin, a.rel) == (e.from_id, e.to_id, e.origin, e.rel)

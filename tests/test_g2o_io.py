@@ -1,12 +1,16 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpgo.g2o_io import ParseError, load_g2o, save_g2o
-from dpgo.graph import EdgeOrigin, NonPSDInformation
+from dpgo.geometry import Pose2
+from dpgo.graph import EDGE_FIELDS, VERTEX_FIELDS, EdgeOrigin, NonPSDInformation
 
-from conftest import rand_graph
+from conftest import edge, make_graph, rand_graph, vertex
 
 
 def test_roundtrip_preserves_everything(tmp_path, rng):
@@ -116,3 +120,62 @@ def test_reference_dataset_counts(name, n_vertices, n_edges):
     g = load_g2o(path)
     assert g.num_vertices == n_vertices
     assert g.num_edges == n_edges
+
+
+def test_bad_origin_code_is_a_parse_error_with_its_line(tmp_path):
+    path = tmp_path / "origin.g2o"
+    path.write_text("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\n# ORIGIN 7\nEDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n")
+    with pytest.raises(ParseError, match="line 4: .*origin code 7"):
+        load_g2o(path)
+
+
+def test_non_psd_information_on_a_later_edge_names_its_line(tmp_path):
+    path = tmp_path / "later.g2o"
+    path.write_text(
+        "VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\nVERTEX_SE2 2 2 0 0\n"
+        "EDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n"
+        "EDGE_SE2 1 2 1 0 0 1 0 0 1 0 1\n"
+        "EDGE_SE2 0 2 2 0 0 1 0 0 1 0 -1\n"
+        "EDGE_SE2 0 2 2 0 0 1 0 0 1 0 1\n"
+    )
+    with pytest.raises(NonPSDInformation, match="line 6: "):
+        load_g2o(path)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs with id gaps, vertices without truth, random SPD information and all four origins."""
+    n = draw(st.integers(2, 6))
+    vids = sorted(draw(st.sets(st.integers(0, 60), min_size=n, max_size=n)))
+    robots = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    vertices = []
+    for k, vid in enumerate(vids):
+        est = Pose2(draw(_finite), draw(_finite), draw(st.floats(-10.0, 10.0)))
+        truth = draw(st.none() | st.builds(Pose2, _finite, _finite, st.floats(-10.0, 10.0)))
+        vertices.append(vertex(vid, robots[k], k, est, truth))  # timestep k: rows k, k + 1 of one robot are consecutive
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        origins = [EdgeOrigin.INTRA_LOOP, EdgeOrigin.INTER_ESTIMATE, EdgeOrigin.INTER_LOOP]
+        if robots[a] == robots[b] and abs(a - b) == 1:
+            origins.append(EdgeOrigin.ODOMETRY)
+        root = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))).reshape(3, 3)
+        rel = Pose2(draw(_finite), draw(_finite), draw(st.floats(-10.0, 10.0)))
+        edges.append(edge(vids[a], vids[b], rel, root @ root.T + 0.5 * np.eye(3), draw(st.sampled_from(origins))))
+    return make_graph(vertices, edges)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(g=small_graphs())
+def test_roundtrip_is_bit_identical(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.g2o")
+        save_g2o(g, path)
+        h = load_g2o(path)
+    for name in VERTEX_FIELDS + EDGE_FIELDS + ("e_from", "e_to"):
+        a, b = getattr(g, name), getattr(h, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,38 +8,33 @@ from hypothesis import strategies as st
 
 from dpgo.geometry import Pose2, compose, relative, wrap_angle
 from dpgo.graph import (
-    EdgeMeasurement,
     EdgeOrigin,
     GraphError,
     MissingGroundTruth,
     NonPSDInformation,
-    PoseGraph,
-    ResidualWeights,
-    edge_residual,
     localization_error,
     objective,
     se2_residuals,
-    truth_relative,
 )
 
-from conftest import rand_graph, rand_info, rand_pose
+from conftest import edge, make_graph, rand_graph, rand_pose, vertex
 
 
 # Independent oracle: evaluate the per-edge residual with dense matrices.
-def naive_residual(edge, xp, xq):
+def naive_residual(rel, xp, xq):
     rp = xp.rotation()
-    dtheta = wrap_angle(xq.theta - xp.theta - edge.rel.theta)
+    dtheta = wrap_angle(xq.theta - xp.theta - rel.theta)
     dt = rp.T @ (np.array([xq.x, xq.y]) - np.array([xp.x, xp.y])) - np.array(
-        [edge.rel.x, edge.rel.y]
+        [rel.x, rel.y]
     )
     return np.array([dtheta, dt[0], dt[1]])
 
 
-def naive_objective(g, w):
+def naive_objective(g):
     total = 0.0
     for e in g.edges:
-        r = naive_residual(e, g.vertices[e.from_id].estimate, g.vertices[e.to_id].estimate)
-        total += w.w_rot**2 * r[0] ** 2 + w.w_trans**2 * (r[1] ** 2 + r[2] ** 2)
+        r = naive_residual(e.rel, g.vertices[e.from_id].estimate, g.vertices[e.to_id].estimate)
+        total += r[0] ** 2 + (r[1] ** 2 + r[2] ** 2)
     return total
 
 
@@ -61,9 +57,12 @@ def naive_localization_error(g):
     return total
 
 
+def _kernel(xp, xq, meas):
+    return se2_residuals(*(np.array([p.as_vector()]) for p in (xp, xq, meas)))[0]
+
+
 def test_edge_residual_zero_for_exact_measurement():
-    e = EdgeMeasurement(0, 1, Pose2(1.0, 0.0, 0.0), np.eye(3))
-    r = edge_residual(e, Pose2(0, 0, 0), Pose2(1.0, 0.0, 0.0))
+    r = _kernel(Pose2(0, 0, 0), Pose2(1.0, 0.0, 0.0), Pose2(1.0, 0.0, 0.0))
     assert np.abs(r).max() == 0.0
 
 
@@ -71,8 +70,7 @@ def test_edge_residual_consistent_random_edge():
     rng = np.random.default_rng(0)
     for _ in range(50):
         xp, xq = rand_pose(rng), rand_pose(rng)
-        e = EdgeMeasurement(0, 1, relative(xp, xq), np.eye(3))
-        assert np.abs(edge_residual(e, xp, xq)).max() < 1e-12
+        assert np.abs(_kernel(xp, xq, relative(xp, xq))).max() < 1e-12
 
 
 def test_edge_residual_matches_dense_oracle():
@@ -81,17 +79,12 @@ def test_edge_residual_matches_dense_oracle():
     # the rotation wraps across +-pi: measured pi - 0.05 against a true -pi + 0.05
     cases.append((Pose2(0, 0, 0), Pose2(0, 0, -math.pi + 0.05), Pose2(0, 0, math.pi - 0.05)))
     for xp, xq, rel in cases:
-        e = EdgeMeasurement(0, 1, rel, rand_info(rng))
-        assert np.abs(edge_residual(e, xp, xq) - naive_residual(e, xp, xq)).max() < 1e-12
-    assert abs(edge_residual(e, xp, xq)[0] - 0.1) < 1e-12
+        assert np.abs(_kernel(xp, xq, rel) - naive_residual(rel, xp, xq)).max() < 1e-12
+    assert abs(_kernel(xp, xq, rel)[0] - 0.1) < 1e-12
 
 
 _coord = st.floats(-50.0, 50.0)
 _pose = st.builds(Pose2, _coord, _coord, st.floats(-math.pi, math.pi))
-
-
-def _kernel(xp, xq, meas):
-    return se2_residuals(*(np.array([p.as_vector()]) for p in (xp, xq, meas)))[0]
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -106,20 +99,17 @@ def test_se2_residuals_zero_when_exact_and_invariant_under_rigid_motion(xp, xq, 
 
 def test_objective_zero_when_consistent():
     rng = np.random.default_rng(2)
-    g = PoseGraph()
-    for i in range(5):
-        g.add_vertex(i, timestep=i, estimate=rand_pose(rng))
-    for i in range(4):
-        rel = relative(g.vertices[i].estimate, g.vertices[i + 1].estimate)
-        g.add_edge(EdgeMeasurement(i, i + 1, rel, np.eye(3), EdgeOrigin.ODOMETRY))
+    vertices = [vertex(i, timestep=i, estimate=rand_pose(rng)) for i in range(5)]
+    rels = [relative(vertices[i][3], vertices[i + 1][3]) for i in range(4)]
+    g = make_graph(vertices, [edge(i, i + 1, rels[i], np.eye(3), EdgeOrigin.ODOMETRY) for i in range(4)])
     assert objective(g) < 1e-24
 
 
 def test_objective_single_edge_value():
-    g = PoseGraph()
-    g.add_vertex(0, estimate=Pose2(0, 0, 0))
-    g.add_vertex(1, timestep=1, estimate=Pose2(0, 0, 0.1))
-    g.add_edge(EdgeMeasurement(0, 1, Pose2(0, 0, 0), np.eye(3)))
+    g = make_graph(
+        [vertex(0, estimate=Pose2(0, 0, 0)), vertex(1, timestep=1, estimate=Pose2(0, 0, 0.1))],
+        [edge(0, 1, Pose2(0, 0, 0), np.eye(3))],
+    )
     assert abs(objective(g) - 0.01) < 1e-15
 
 
@@ -127,8 +117,7 @@ def test_objective_matches_naive_oracle():
     rng = np.random.default_rng(3)
     for _ in range(20):
         g = rand_graph(rng, n_poses=20)
-        w = ResidualWeights(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        got, want = objective(g, w), naive_objective(g, w)
+        got, want = objective(g), naive_objective(g)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -146,16 +135,19 @@ def test_objective_gauge_invariance():
 def test_localization_error_zero_for_truth_measurements():
     rng = np.random.default_rng(5)
     g = rand_graph(rng, n_poses=8)
-    for i, e in enumerate(g.edges):
-        g.edges[i] = EdgeMeasurement(e.from_id, e.to_id, truth_relative(g, e), e.info, e.origin)
+    rels = [relative(g.vertices[e.from_id].truth, g.vertices[e.to_id].truth) for e in g.edges]
+    g = replace(g, meas=[r.as_vector() for r in rels])
     assert localization_error(g) < 1e-18
 
 
 def test_localization_error_single_edge_value():
-    g = PoseGraph()
-    g.add_vertex(0, truth=Pose2(0, 0, 0), estimate=Pose2(0, 0, 0))
-    g.add_vertex(1, timestep=1, truth=Pose2(1, 0, 0), estimate=Pose2(1, 0, 0))
-    g.add_edge(EdgeMeasurement(0, 1, Pose2(1.1, 0, 0), np.eye(3)))
+    g = make_graph(
+        [
+            vertex(0, truth=Pose2(0, 0, 0), estimate=Pose2(0, 0, 0)),
+            vertex(1, timestep=1, truth=Pose2(1, 0, 0), estimate=Pose2(1, 0, 0)),
+        ],
+        [edge(0, 1, Pose2(1.1, 0, 0), np.eye(3))],
+    )
     assert abs(localization_error(g) - 0.01) < 1e-12
 
 
@@ -179,67 +171,68 @@ def test_measurement_discrepancy_wraps_angle():
     truth_rel, meas = Pose2(0, 0, -math.pi + 0.05), Pose2(0, 0, math.pi - 0.05)
     r = _kernel(Pose2(0, 0, 0), truth_rel, meas)
     assert abs(r[0] - 0.1) < 1e-12
-    g = PoseGraph()
-    g.add_vertex(0, truth=Pose2(0, 0, 0))
-    g.add_vertex(1, timestep=1, truth=truth_rel)
-    g.add_edge(EdgeMeasurement(0, 1, meas, np.eye(3)))
+    g = make_graph(
+        [vertex(0, truth=Pose2(0, 0, 0)), vertex(1, timestep=1, truth=truth_rel)], [edge(0, 1, meas, np.eye(3))]
+    )
     assert abs(localization_error(g) - 0.01) < 1e-12
+
+
+def one_edge(rel=Pose2(0, 0, 0), info=np.eye(3), i=0, j=1, origin=EdgeOrigin.INTRA_LOOP, timestep_j=1):
+    return make_graph([vertex(0), vertex(1, timestep=timestep_j)], [edge(i, j, rel, info, origin)])
 
 
 def test_edge_validation():
     with pytest.raises(GraphError):
-        EdgeMeasurement(0, 0, Pose2(0, 0, 0), np.eye(3))
+        one_edge(j=0)
     with pytest.raises(NonPSDInformation):
-        EdgeMeasurement(0, 1, Pose2(0, 0, 0), np.diag([1.0, -1.0, 1.0]))
+        one_edge(info=np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(NonPSDInformation):
         m = np.eye(3)
         m[0, 1] = 0.5  # asymmetric
-        EdgeMeasurement(0, 1, Pose2(0, 0, 0), m)
+        one_edge(info=m)
 
 
 def test_non_finite_input_is_rejected():
     with pytest.raises(GraphError, match="non-finite measurement"):
-        EdgeMeasurement(0, 1, Pose2(math.nan, 0, 0), np.eye(3))
+        one_edge(rel=Pose2(math.nan, 0, 0))
     info = np.eye(3)
     info[1, 1] = math.nan
     with pytest.raises(GraphError, match="non-finite information") as exc:
-        EdgeMeasurement(0, 1, Pose2(0, 0, 0), info)
+        one_edge(info=info)
     assert not isinstance(exc.value, NonPSDInformation)
-    g = PoseGraph()
     with pytest.raises(GraphError, match="non-finite estimate"):
-        g.add_vertex(0, estimate=Pose2(0, math.inf, 0))
+        make_graph([vertex(0, estimate=Pose2(0, math.inf, 0))])
     with pytest.raises(GraphError, match="non-finite truth"):
-        g.add_vertex(1, truth=Pose2(0, 0, math.nan))
-    assert g.num_vertices == 0
-
-
-def test_with_rel_shares_info_and_rejects_non_finite(rng):
-    e = EdgeMeasurement(3, 7, rand_pose(rng), rand_info(rng), EdgeOrigin.INTER_LOOP)
-    rel = rand_pose(rng)
-    moved = e.with_rel(rel)
-    assert moved.rel == rel
-    assert moved.info is e.info and not moved.info.flags.writeable
-    assert (moved.from_id, moved.to_id, moved.origin) == (3, 7, EdgeOrigin.INTER_LOOP)
-    assert e.rel != rel  # the original edge is untouched
-    for bad in (Pose2(math.nan, 0, 0), Pose2(0, math.inf, 0), Pose2(0, 0, math.nan)):
-        with pytest.raises(GraphError, match="non-finite measurement"):
-            e.with_rel(bad)
+        make_graph([vertex(1, truth=Pose2(0, 0, math.nan))])
 
 
 def test_graph_validation():
-    g = PoseGraph()
-    g.add_vertex(0)
     with pytest.raises(GraphError):
-        g.add_edge(EdgeMeasurement(0, 1, Pose2(0, 0, 0), np.eye(3)))
-    g.add_vertex(1, timestep=5)
+        make_graph([vertex(0)], [edge(0, 1, Pose2(0, 0, 0), np.eye(3))])
     with pytest.raises(GraphError):  # odometry must connect consecutive timesteps
-        g.add_edge(EdgeMeasurement(0, 1, Pose2(0, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY))
+        one_edge(origin=EdgeOrigin.ODOMETRY, timestep_j=5)
     with pytest.raises(GraphError):
-        g.add_vertex(0)
+        make_graph([vertex(0), vertex(0)])
     with pytest.raises(GraphError):
-        g.add_vertex(2, timestep=-1)
+        make_graph([vertex(2, timestep=-1)])
 
 
-def test_weights_validation():
-    with pytest.raises(GraphError):
-        ResidualWeights(0.0, 1.0)
+def test_copy_owns_its_poses_and_edge_arrays_are_read_only(rng):
+    g = rand_graph(rng, n_poses=6)
+    h = g.copy()
+    h.vertices[2].estimate = Pose2(9.0, 9.0, 0.0)
+    h.vertices[3].truth = None
+    assert h.vertices[2].estimate == Pose2(9.0, 9.0, 0.0) and h.vertices[3].truth is None
+    assert g.vertices[2].estimate != h.vertices[2].estimate and g.vertices[3].truth is not None
+    assert not (g.meas.flags.writeable or g.info.flags.writeable or g.e_from.flags.writeable)
+
+
+def test_rejection_names_the_input_row():
+    with pytest.raises(GraphError, match="negative timestep on vertex 3") as exc:
+        make_graph([vertex(5), vertex(3, timestep=-1)])
+    assert exc.value.position == ("vertex", 1)
+    with pytest.raises(GraphError, match="unknown vertex 7") as exc:
+        make_graph(
+            [vertex(0), vertex(1)], [edge(0, 1, Pose2(1, 0, 0), np.eye(3)), edge(7, 1, Pose2(1, 0, 0), np.eye(3))]
+        )
+    assert exc.value.position == ("edge", 1)

@@ -5,34 +5,26 @@ import pytest
 import scipy.optimize
 
 from dpgo.geometry import Pose2, relative, wrap_angle
-from dpgo.graph import (
-    EdgeMeasurement,
-    EdgeOrigin,
-    PoseGraph,
-    ResidualWeights,
-    edge_residual,
-    objective,
-)
+from dpgo.graph import EdgeOrigin, GraphError, objective
 from dpgo import refine
 from dpgo.refine import LMConfig, PriorFactor, SingularNormalEquations, lm_refine, lm_refine_full
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate, inject_outliers
 
-from conftest import rand_graph, rand_info, rand_pose
+from conftest import edge, make_graph, rand_graph, rand_pose, vertex
 
 
 def three_pose_loop(noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
     truth = [Pose2(0, 0, 0), Pose2(1, 0, 0.2), Pose2(1.2, 1.0, 1.5)]
-    g = PoseGraph()
-    for i, t in enumerate(truth):
-        g.add_vertex(i, timestep=i, estimate=t, truth=t)
+    vertices = [vertex(i, timestep=i, estimate=t, truth=t) for i, t in enumerate(truth)]
+    edges = []
     for i, j in [(0, 1), (1, 2), (2, 0)]:
         rel = relative(truth[i], truth[j])
         if noise:
             rel = Pose2(rel.x + rng.normal(0, noise), rel.y + rng.normal(0, noise), rel.theta + rng.normal(0, noise))
         origin = EdgeOrigin.ODOMETRY if j == i + 1 else EdgeOrigin.INTRA_LOOP
-        g.add_edge(EdgeMeasurement(i, j, rel, np.eye(3), origin))
-    return g
+        edges.append(edge(i, j, rel, np.eye(3), origin))
+    return make_graph(vertices, edges)
 
 
 def test_noise_free_graph_stays_at_zero():
@@ -95,22 +87,21 @@ def test_anchor_vertex_bit_unchanged():
 def test_jacobians_match_finite_differences(rng):
     from dpgo.refine import _residuals_jacobians
 
-    w = ResidualWeights(1.3, 0.7)
     for _ in range(5):
         xp, xq = rand_pose(rng), rand_pose(rng)
         meas = rand_pose(rng)
         x = np.array([xp.as_vector(), xq.as_vector()])
         e_from, e_to = np.array([0]), np.array([1])
         m = np.array([meas.as_vector()])
-        r0, a, b = _residuals_jacobians(x, e_from, e_to, m, w)
+        r0, a, b = _residuals_jacobians(x, e_from, e_to, m)
         h = 1e-7
         for side, jac in ((0, a[0]), (1, b[0])):
             for k in range(3):
                 xpert = x.copy()
                 xpert[side, k] += h
-                rp, _, _ = _residuals_jacobians(xpert, e_from, e_to, m, w)
+                rp, _, _ = _residuals_jacobians(xpert, e_from, e_to, m)
                 xpert[side, k] -= 2 * h
-                rm, _, _ = _residuals_jacobians(xpert, e_from, e_to, m, w)
+                rm, _, _ = _residuals_jacobians(xpert, e_from, e_to, m)
                 fd = (rp[0] - rm[0]) / (2 * h)
                 assert np.abs(fd - jac[:, k]).max() < 1e-5
 
@@ -125,7 +116,6 @@ def dense_normal_equations_case(rng):
     """
     from dpgo.refine import _NormalEquations, _prior_residuals, _residuals_jacobians
 
-    w = ResidualWeights(1.3, 0.7)
     n = 5
     x = np.array([rand_pose(rng).as_vector() for _ in range(n)])
     e_from = np.array([0, 1, 2, 2, 3, 4])
@@ -134,9 +124,9 @@ def dense_normal_equations_case(rng):
     p_rows = np.array([2, 2, 4, 0])
     prior = (p_rows, np.array([rand_pose(rng).as_vector() for _ in p_rows]), rng.normal(size=(len(p_rows), 3, 3)))
     neq = _NormalEquations(np.array([-1, 0, 1, 2, 3]), n - 1, e_from, e_to, prior)
-    h, g = neq.assemble(x, e_from, e_to, meas, w, prior)
+    h, g = neq.assemble(x, e_from, e_to, meas, prior)
 
-    r, a, b = _residuals_jacobians(x, e_from, e_to, meas, w)
+    r, a, b = _residuals_jacobians(x, e_from, e_to, meas)
     jac = np.zeros((3 * (len(e_from) + len(p_rows)), 3 * n))
     for e, (p, q) in enumerate(zip(e_from, e_to)):
         jac[3 * e : 3 * e + 3, 3 * p : 3 * p + 3] += a[e]
@@ -171,15 +161,13 @@ def test_damped_step_matches_dense_solve(rng):
 
 
 def test_block_order_fills_no_more_than_colamd():
-    from dpgo.graph import graph_arrays
     from dpgo.refine import _NormalEquations
 
     g, _ = inject_outliers(generate(GenSpec(n_robots=4, poses_per_robot=60, seed=7)), 0.1, 7)
-    a = graph_arrays(g)
-    n = len(a.vids)
+    n = g.num_vertices
     prior = (np.zeros(0, dtype=np.intp), np.zeros((0, 3)), np.zeros((0, 3, 3)))
-    neq = _NormalEquations(np.arange(n) - 1, n - 1, a.e_from, a.e_to, prior)  # vertex 0 anchored
-    h, _ = neq.assemble(a.estimates, a.e_from, a.e_to, a.meas, ResidualWeights(), prior)
+    neq = _NormalEquations(np.arange(n) - 1, n - 1, g.e_from, g.e_to, prior)  # vertex 0 anchored
+    h, _ = neq.assemble(g.estimates, g.e_from, g.e_to, g.meas, prior)
     ours = neq.factor(h, 1e-4)
     colamd = refine.spla.splu(neq.damped(h, 1e-4))
     assert ours.L.nnz + ours.U.nnz <= colamd.L.nnz + colamd.U.nnz
@@ -231,10 +219,10 @@ def test_stop_reasons():
 
 
 def test_prior_factor_pulls_vertex_to_target():
-    g = PoseGraph()
-    g.add_vertex(0, estimate=Pose2(0, 0, 0))
-    g.add_vertex(1, timestep=1, estimate=Pose2(1, 0, 0))
-    g.add_edge(EdgeMeasurement(0, 1, Pose2(1, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY))
+    g = make_graph(
+        [vertex(0, estimate=Pose2(0, 0, 0)), vertex(1, timestep=1, estimate=Pose2(1, 0, 0))],
+        [edge(0, 1, Pose2(1, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY)],
+    )
     target = np.array([1.5, 0.4, 0.3])  # (x, y, theta)
     strong = 1e4 * np.eye(3)
     res = lm_refine_full(g, cfg=LMConfig(max_iters=50), priors=(PriorFactor(1, target, strong),))
@@ -246,11 +234,10 @@ def test_prior_factor_pulls_vertex_to_target():
 
 def test_weighted_objective_respected():
     g = three_pose_loop(noise=0.1, seed=4)
-    w = ResidualWeights(2.0, 0.5)
-    out, log = lm_refine(g, w, LMConfig(max_iters=50))
-    assert objective(out, w) <= objective(g, w)
+    out, log = lm_refine(g, LMConfig(max_iters=50))
+    assert objective(out) <= objective(g)
     accepted = [it.objective for it in log if it.accepted]
-    assert accepted and abs(accepted[-1] - objective(out, w)) < 1e-9
+    assert accepted and abs(accepted[-1] - objective(out)) < 1e-9
 
 
 def test_iteration_log_csv(tmp_path):
@@ -264,3 +251,21 @@ def test_iteration_log_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,objective,damping,step_norm,accepted"
     assert len(lines) == len(log) + 1
+
+
+def test_unknown_anchor_is_rejected():
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
+    with pytest.raises(GraphError, match="anchor 999"):
+        lm_refine_full(g, anchor=999)
+
+
+def test_prior_on_unknown_vertex_is_rejected():
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
+    with pytest.raises(GraphError, match="PriorFactor.vertex 999"):
+        lm_refine_full(g, priors=(PriorFactor(999, np.zeros(3), np.eye(3)),))
+
+
+def test_non_finite_prior_target_is_rejected():
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
+    with pytest.raises(GraphError, match="PriorFactor.target on vertex 3"):
+        lm_refine_full(g, priors=(PriorFactor(3, np.array([0.0, math.nan, 0.0]), np.eye(3)),))
