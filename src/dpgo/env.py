@@ -6,6 +6,11 @@ right-composed onto the edge's measurement; vertex estimates never change
 during an episode. Rewards are the tanh-smoothed normalized reduction of the
 robot's information-weighted measurement-vs-truth error, with a terminal
 bonus shared by all robots proportional to log(L_0 / L_T).
+
+Robot b's subgraph is the partition block ``part.subgraphs[b]``; its local
+edge k is the block's edge row k, whose global edge id is
+``part.edge_gids[b][k]``. ``Observation.snapshot`` is that block, read as is
+by the encoder, and ``Observation.meas`` its current measurements.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import numpy as np
 
 from .geometry import Pose2, compose, se2_exp
 from .graph import GraphError, PoseGraph, se2_residuals
-from .nn.encoder import GraphSnapshot, snapshot_from_graph
 from .partition import Partition, partition
 
 
@@ -32,8 +36,12 @@ class RewardConfig:
     bonus_scale: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not self.clip > 0:
+            raise ValueError(f"clip must be positive, got {self.clip}")
+        if not math.isfinite(self.bonus_scale):
+            raise ValueError(f"bonus_scale must be finite, got {self.bonus_scale}")
 
 
 @dataclass
@@ -45,7 +53,7 @@ class Action:
 @dataclass
 class Observation:
     robot: int
-    snapshot: GraphSnapshot
+    snapshot: PoseGraph  # the robot's partition block
     meas: np.ndarray  # (E, 3) current measurements as (x, y, theta)
     mask: np.ndarray  # (E,) True where still unprocessed
 
@@ -62,9 +70,11 @@ class PoseGraphEnv:
         balance_tol: float = 0.15,
         delta_max_t: float = 0.25,
         delta_max_theta: float = 0.15,
-        selector_capacity: int | None = None,
         record_trace: bool = False,
     ):
+        for name, bound in (("delta_max_t", delta_max_t), ("delta_max_theta", delta_max_theta)):
+            if not 0 < bound < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {bound}")
         self.graph = graph.copy()
         self.n_robots = n_robots
         self.reward_cfg = reward or RewardConfig()
@@ -74,28 +84,13 @@ class PoseGraphEnv:
         self.reward_free = bool(np.isnan(graph.truths).any())
 
         self.part: Partition = partition(self.graph, n_robots, balance_tol)
-        self.snapshots: list[GraphSnapshot] = []
-        self._gids: list[np.ndarray] = []
-        self._infos: list[np.ndarray] = []
-        self._truth_ends: list[tuple[np.ndarray, np.ndarray]] = []
-        for b, sub in enumerate(self.part.subgraphs):
-            snap = snapshot_from_graph(sub, edge_order=self.part.edge_gids[b])
-            if selector_capacity is not None and snap.n_edges > selector_capacity:
-                raise GraphError(
-                    f"robot {b} has {snap.n_edges} local edges, "
-                    f"selector capacity is {selector_capacity}"
-                )
-            self.snapshots.append(snap)
-            self._gids.append(self.part.edge_gids[b])  # increasing, so the snapshot keeps the block's edge order
-            self._infos.append(sub.info)
-            self._truth_ends.append((sub.truths[snap.edge_from], sub.truths[snap.edge_to]))
         self.reset()
 
     # -- episode control ------------------------------------------------------
 
     def reset(self) -> list[Observation]:
-        self.meas = [s.meas0.copy() for s in self.snapshots]
-        self.masks = [np.ones(s.n_edges, dtype=bool) for s in self.snapshots]
+        self.meas = [sub.meas.copy() for sub in self.part.subgraphs]
+        self.masks = [np.ones(sub.num_edges, dtype=bool) for sub in self.part.subgraphs]
         self.t = 0
         self.done = False
         self.trace: list[dict] = []
@@ -109,22 +104,22 @@ class PoseGraphEnv:
 
     def observations(self) -> list[Observation]:
         return [
-            Observation(b, self.snapshots[b], self.meas[b].copy(), self.masks[b].copy())
+            Observation(b, self.part.subgraphs[b], self.meas[b].copy(), self.masks[b].copy())
             for b in range(self.n_robots)
         ]
 
     @property
     def horizon(self) -> int:
-        return max((s.n_edges for s in self.snapshots), default=0)
+        return max((sub.num_edges for sub in self.part.subgraphs), default=0)
 
     def local_errors(self) -> np.ndarray:
         return self._l.copy()
 
     def _edge_terms(self, b: int, rows=slice(None)) -> np.ndarray:
         """Information-weighted measurement-vs-truth error of robot b's edges."""
-        tp, tq = self._truth_ends[b]
-        r = se2_residuals(tp[rows], tq[rows], self.meas[b][rows])
-        return np.einsum("ei,eij,ej->e", r, self._infos[b][rows], r)
+        sub = self.part.subgraphs[b]
+        r = se2_residuals(sub.truths[sub.e_from[rows]], sub.truths[sub.e_to[rows]], self.meas[b][rows])
+        return np.einsum("ei,eij,ej->e", r, sub.info[rows], r)
 
     def clamp_delta(self, delta) -> np.ndarray:
         d = np.asarray(delta, dtype=float).copy()
@@ -178,7 +173,7 @@ class PoseGraphEnv:
                     {
                         "step": self.t,
                         "robot": b,
-                        "edge_gid": int(self._gids[b][e]),
+                        "edge_gid": int(self.part.edge_gids[b][e]),
                         "delta": [float(x) for x in delta],
                         "raw_gain": float(gains[b]),
                         "reward": float(rewards[b]),
@@ -190,9 +185,8 @@ class PoseGraphEnv:
         info = {"gains": gains, "reward_free": self.reward_free}
         if self.done and not self.reward_free:
             l_final = float(self._l.sum())
-            bonus = self.reward_cfg.bonus_scale * math.log(
-                self.l0_global / (l_final + eps)
-            )
+            # the floor keeps the log finite when the episode starts at zero error
+            bonus = self.reward_cfg.bonus_scale * math.log(max(self.l0_global, eps) / (l_final + eps))
             rewards += bonus
             info["terminal_bonus"] = bonus
             info["l_final"] = l_final
@@ -207,6 +201,6 @@ class PoseGraphEnv:
     def current_graph(self) -> PoseGraph:
         """Global graph carrying the corrected measurements."""
         meas = self.graph.meas.copy()
-        for gids, local in zip(self._gids, self.meas):
+        for gids, local in zip(self.part.edge_gids, self.meas):
             meas[gids] = local
         return replace(self.graph, meas=meas)

@@ -3,10 +3,9 @@
 Deliberately small: only the operators this project's networks need
 (affine maps and matmul, fused edge-conditioned messages ``ecc_messages``
 with a hand-written backward, row gather and aggregation by a constant
-sparse matrix, elementwise sigmoid/tanh/exp/log/softplus/square/abs and
-minimum, concatenation, narrowing, reshape, reductions, a masked
-log-softmax, and stretch-clips with a straight-through or a hard
-backward). Everything runs in float64.
+sparse matrix, elementwise sigmoid/tanh/exp/log/softplus/square/abs,
+concatenation, narrowing, reshape, reductions, a masked log-softmax, and a
+clip with a straight-through backward). Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -406,28 +405,6 @@ def clip_straight_through(x, lo, hi):
     return out
 
 
-def clip_hard(x, lo, hi):
-    """Forward clip; backward zero outside [lo, hi]."""
-    x = as_tensor(x)
-    inside = (x.data >= lo) & (x.data <= hi)
-    out = _make(np.clip(x.data, lo, hi), (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(g * inside)
-    return out
-
-
-def minimum(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data <= b.data
-    out = _make(np.where(take_a, a.data, b.data), (a, b), None)
-    if out._parents:
-        def bwd(g):
-            a._accum(_unbroadcast(g * take_a, a.data.shape))
-            b._accum(_unbroadcast(g * ~take_a, b.data.shape))
-        out._bwd = bwd
-    return out
-
-
 def masked_log_softmax(scores, mask):
     """Log-softmax over the last axis with a {0,1} validity mask.
 
@@ -450,50 +427,3 @@ def masked_log_softmax(scores, mask):
 def glorot(rng, fan_out, fan_in, gain=1.0) -> np.ndarray:
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
-
-
-def global_grad_norm(params: dict) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    return math.sqrt(total)
-
-
-class Adam:
-    """Adam with optional global gradient-norm clipping."""
-
-    def __init__(self, params: dict, lr: float, betas=(0.9, 0.999), eps=1e-8, clip_norm=10.0):
-        self.params = params
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.clip_norm = clip_norm
-        self.t = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
-
-    def step(self):
-        self.t += 1
-        scale = 1.0
-        if self.clip_norm is not None:
-            norm = global_grad_norm(self.params)
-            if norm > self.clip_norm:
-                scale = self.clip_norm / (norm + 1e-12)
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
-        for k, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad * scale
-            m = self._m[k]
-            v = self._v[k]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None

@@ -12,12 +12,19 @@ computed after the first layer's messages and shared by the remaining
 layers), aggregated with a degree-normalized mean at the source node, fused
 with the self embedding through a sigmoid, and mean-pooled into a graph
 latent.
+
+The encoder reads :class:`~dpgo.graph.PoseGraph` blocks (in the
+environment, each robot's partition block) with their current
+measurements: node features from ``estimates``, edge attributes from
+``origin``, ``info``, the endpoints' ``timestep`` and the measurements, and
+the gate's residual cue from one :func:`~dpgo.graph.se2_residuals` call.
+Edges are read in the block's row order; :func:`make_batch` packs several
+blocks block-diagonally.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +42,6 @@ class GateConfig:
     stretch_lo: float = -0.1
     stretch_hi: float = 1.1
     temperature: float = 1.0
-    final_temperature: float = 0.2
     interloop_bias: float = 1.0
     l1_weight: float = 1e-3
     inference_threshold: float = 0.5
@@ -53,7 +59,6 @@ class EncoderConfig:
     n_layers: int = 5
     edge_hidden: int = 64
     gate_hidden: int = 32
-    shared_gates: bool = True  # one gate per edge, computed after layer 1
     gate: GateConfig = field(default_factory=GateConfig)
 
     @property
@@ -81,82 +86,14 @@ def init_encoder_params(cfg: EncoderConfig, rng, prefix="enc") -> dict[str, Tens
     return p
 
 
-def edge_attributes(edge, timestep_gap: int) -> np.ndarray:
-    """11-vector: origin one-hot (4), log information diagonal (3),
-    timestep separation (1), translation magnitude (1), sin/cos of the
-    measured angle (2)."""
-    out = np.zeros(EDGE_DIM)
-    out[int(edge.origin)] = 1.0
-    out[4:7] = np.log(np.diag(np.asarray(edge.info)))
-    out[7] = abs(int(timestep_gap))
-    out[8] = math.hypot(edge.rel.x, edge.rel.y)
-    out[9] = math.sin(edge.rel.theta)
-    out[10] = math.cos(edge.rel.theta)
-    return out
-
-
-@dataclass
-class GraphSnapshot:
-    """Static per-subgraph arrays; measurements and masks vary per step."""
-
-    vertex_ids: list[int]
-    node_xyt: np.ndarray  # (N, 3) estimates as (x, y, theta)
-    node_feat: np.ndarray  # (N, NODE_DIM)
-    edge_from: np.ndarray  # (E,) local node index of the source
-    edge_to: np.ndarray  # (E,) local node index of the target
-    origins: np.ndarray  # (E,) int codes
-    loginfo: np.ndarray  # (E, 3) log of the information diagonal
-    gaps: np.ndarray  # (E,) timestep separations
-    meas0: np.ndarray  # (E, 3) initial measurements as (x, y, theta)
-    agg: sp.csr_matrix  # (N, E) mean over out-edges at the source node
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.vertex_ids)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edge_from)
-
-
-def snapshot_from_graph(g: PoseGraph, edge_order=None) -> GraphSnapshot:
-    """Freeze a subgraph into dense arrays.
-
-    ``edge_order`` fixes the canonical edge ordering (e.g. global edge ids);
-    aggregation sums in this order, making forward passes bit-reproducible
-    under input permutations.
-    """
-    order = np.arange(g.num_edges) if edge_order is None else np.argsort(edge_order, kind="stable")
-    node_xyt, e_from, e_to = g.estimates.copy(), g.e_from[order], g.e_to[order]
-    node_feat = np.zeros((g.num_vertices, NODE_DIM))
-    node_feat[:, 0] = node_xyt[:, 0]
-    node_feat[:, 1] = node_xyt[:, 1]
-    node_feat[:, 2] = np.sin(node_xyt[:, 2])
-    node_feat[:, 3] = np.cos(node_xyt[:, 2])
-
-    origins = g.origin[order].astype(np.intp)
-    loginfo = np.log(g.info[order].diagonal(axis1=1, axis2=2))
-    gaps = np.abs(g.timestep[e_from] - g.timestep[e_to]).astype(float)
-
-    n, m = g.num_vertices, g.num_edges
-    deg = np.zeros(n)
-    np.add.at(deg, e_from, 1.0)
-    vals = 1.0 / deg[e_from] if m else np.zeros(0)
-    agg = sp.csr_matrix((vals, (e_from, np.arange(m))), shape=(n, m))
-    return GraphSnapshot(g.vids.tolist(), node_xyt, node_feat, e_from, e_to, origins, loginfo, gaps, g.meas[order], agg)
-
-
-def edge_residuals(snapshot: GraphSnapshot, meas: np.ndarray) -> np.ndarray:
-    """(E, 3) residuals (dtheta, dx, dy) of measurements vs node estimates."""
-    xyt = snapshot.node_xyt
-    return se2_residuals(xyt[snapshot.edge_from], xyt[snapshot.edge_to], meas)
-
-
-def edge_attribute_matrix(snapshot: GraphSnapshot, meas: np.ndarray) -> np.ndarray:
-    attr = np.zeros((snapshot.n_edges, EDGE_DIM))
-    attr[np.arange(snapshot.n_edges), snapshot.origins] = 1.0
-    attr[:, 4:7] = snapshot.loginfo
-    attr[:, 7] = snapshot.gaps
+def edge_attribute_matrix(g: PoseGraph, meas: np.ndarray) -> np.ndarray:
+    """(E, EDGE_DIM) rows of ``g``'s edges with measurements ``meas``: origin
+    one-hot (4), log information diagonal (3), timestep separation (1),
+    translation magnitude (1), sin/cos of the measured angle (2)."""
+    attr = np.zeros((g.num_edges, EDGE_DIM))
+    attr[np.arange(g.num_edges), g.origin] = 1.0
+    attr[:, 4:7] = np.log(g.info.diagonal(axis1=1, axis2=2))
+    attr[:, 7] = np.abs(g.timestep[g.e_from] - g.timestep[g.e_to])
     attr[:, 8] = np.hypot(meas[:, 0], meas[:, 1])
     attr[:, 9] = np.sin(meas[:, 2])
     attr[:, 10] = np.cos(meas[:, 2])
@@ -165,69 +102,44 @@ def edge_attribute_matrix(snapshot: GraphSnapshot, meas: np.ndarray) -> np.ndarr
 
 @dataclass
 class GraphBatch:
-    """Several snapshots packed block-diagonally into one graph."""
+    """Several graphs packed block-diagonally into one graph."""
 
-    node_feat: np.ndarray
-    edge_to: np.ndarray  # into the packed node array
-    attr: np.ndarray
-    res: np.ndarray
-    loginfo: np.ndarray
-    interloop: np.ndarray  # (E,) 1.0 where origin is an inter-robot loop closure
-    agg: sp.csr_matrix  # (sum N, sum E)
+    node_feat: np.ndarray  # (sum N, NODE_DIM)
+    edge_to: np.ndarray  # (sum E,) into the packed node array
+    attr: np.ndarray  # (sum E, EDGE_DIM), see edge_attribute_matrix
+    res: np.ndarray  # (sum E, 3) edge residuals (dtheta, dx, dy) at the estimates
+    agg: sp.csr_matrix  # (sum N, sum E) mean over out-edges at the source node
     pool: sp.csr_matrix  # (G, sum N) node mean per graph
-    edge_pool: sp.csr_matrix  # (G, sum E) edge sum per graph
-    edge_slices: list[tuple[int, int]]
-    n_graphs: int
 
 
-def make_batch(snapshots, meas_list) -> GraphBatch:
-    """Pack snapshots, each with its current (E, 3) measurements, into one batch."""
-    if not snapshots:
-        raise ValueError("make_batch needs at least one snapshot")
-    if len(snapshots) != len(meas_list):
-        raise ValueError(
-            f"got {len(snapshots)} snapshots but {len(meas_list)} measurement arrays"
-        )
-    node_feats, attrs, ress, loginfos, inters = [], [], [], [], []
-    aggs, edge_to = [], []
-    node_off = 0
-    edge_slices = []
-    edge_off = 0
-    for snap, meas in zip(snapshots, meas_list):
-        node_feats.append(snap.node_feat)
-        attrs.append(edge_attribute_matrix(snap, meas))
-        ress.append(edge_residuals(snap, meas))
-        loginfos.append(snap.loginfo)
-        inters.append((snap.origins == int(EdgeOrigin.INTER_LOOP)).astype(float))
-        aggs.append(snap.agg)
-        edge_to.append(snap.edge_to + node_off)
-        edge_slices.append((edge_off, edge_off + snap.n_edges))
-        node_off += snap.n_nodes
-        edge_off += snap.n_edges
+def make_batch(graphs, meas_list) -> GraphBatch:
+    """Pack ``PoseGraph`` blocks, each with its current (E, 3) measurements, into one batch."""
+    if not graphs:
+        raise ValueError("make_batch needs at least one graph")
+    if len(graphs) != len(meas_list):
+        raise ValueError(f"got {len(graphs)} graphs but {len(meas_list)} measurement arrays")
+    sizes = np.array([g.num_vertices for g in graphs])
+    offsets = np.cumsum(sizes) - sizes
+    xyt = np.concatenate([g.estimates for g in graphs])
+    e_from = np.concatenate([g.e_from + off for g, off in zip(graphs, offsets)])
+    e_to = np.concatenate([g.e_to + off for g, off in zip(graphs, offsets)])
+    meas = np.concatenate(meas_list)
+    n, m = len(xyt), len(e_from)
 
-    g = len(snapshots)
-    node_feat = np.concatenate(node_feats, axis=0)
-    agg = sp.block_diag(aggs, format="csr")
-    n_nodes = [s.n_nodes for s in snapshots]
-    rows = np.repeat(np.arange(g), n_nodes)
-    pool_vals = np.concatenate([np.full(k, 1.0 / k) for k in n_nodes])
-    pool = sp.csr_matrix((pool_vals, (rows, np.arange(node_feat.shape[0]))), shape=(g, node_feat.shape[0]))
-    n_edges = [s.n_edges for s in snapshots]
-    erows = np.repeat(np.arange(g), n_edges)
-    total_e = int(sum(n_edges))
-    edge_pool = sp.csr_matrix((np.ones(total_e), (erows, np.arange(total_e))), shape=(g, total_e))
+    node_feat = np.zeros((n, NODE_DIM))
+    node_feat[:, :2] = xyt[:, :2]
+    node_feat[:, 2] = np.sin(xyt[:, 2])
+    node_feat[:, 3] = np.cos(xyt[:, 2])
+    agg = sp.csr_matrix((1.0 / np.bincount(e_from)[e_from], (e_from, np.arange(m))), shape=(n, m))
+    pool_rows = np.repeat(np.arange(len(graphs)), sizes)
+    pool = sp.csr_matrix((np.repeat(1.0 / sizes, sizes), (pool_rows, np.arange(n))), shape=(len(graphs), n))
     return GraphBatch(
         node_feat,
-        np.concatenate(edge_to),
-        np.concatenate(attrs, axis=0),
-        np.concatenate(ress, axis=0),
-        np.concatenate(loginfos, axis=0),
-        np.concatenate(inters),
+        e_to,
+        np.concatenate([edge_attribute_matrix(g, q) for g, q in zip(graphs, meas_list)]),
+        se2_residuals(xyt[e_from], xyt[e_to], meas),
         agg,
         pool,
-        edge_pool,
-        edge_slices,
-        g,
     )
 
 
@@ -255,15 +167,11 @@ def gate_forward(params, gate_cfg: GateConfig, messages, residuals, loginfo, int
 
 
 def encoder_forward(params, cfg: EncoderConfig, batch: GraphBatch, *,
-                    gate_noise=None, gate_temp=None, gates_override=None, prefix="enc"):
+                    gate_noise=None, gate_temp=None, prefix="enc"):
     """Run all layers; returns (node embeddings, graph latents, gates, logits)."""
     h = constant(batch.node_feat)
-    gates = None
-    logits = None
-    if gates_override is not None:
-        z = np.asarray(gates_override, dtype=float).reshape(-1, 1)
-        gates = constant(z)
     attr = constant(batch.attr)
+    gates = logits = None
     dims = cfg.layer_dims
     for l in range(cfg.n_layers):
         d_out = dims[l + 1]
@@ -274,9 +182,9 @@ def encoder_forward(params, cfg: EncoderConfig, batch: GraphBatch, *,
             e_hidden, ad.gather_rows(h, batch.edge_to),
             params[f"{prefix}.ecc{l}.edge_w2"], params[f"{prefix}.ecc{l}.edge_b2"], d_out,
         )
-        if gates is None and (l == 0 or not cfg.shared_gates):
+        if gates is None:  # from the first layer's messages, shared by every layer
             gates, logits = gate_forward(
-                params, cfg.gate, m, batch.res, batch.loginfo, batch.interloop,
+                params, cfg.gate, m, batch.res, batch.attr[:, 4:7], batch.attr[:, int(EdgeOrigin.INTER_LOOP)],
                 noise=gate_noise, temperature=gate_temp, prefix=prefix,
             )
         masked = ad.mul(m, gates)
@@ -286,12 +194,6 @@ def encoder_forward(params, cfg: EncoderConfig, batch: GraphBatch, *,
         )
     latent = ad.sparse_matmul(batch.pool, h)
     return h, latent, gates, logits
-
-
-def ecc_forward(params, cfg: EncoderConfig, batch: GraphBatch, gates, prefix="enc"):
-    """Message passing with externally supplied per-edge gate values."""
-    h, latent, _, _ = encoder_forward(params, cfg, batch, gates_override=gates, prefix=prefix)
-    return h, latent
 
 
 def l1_gate_penalty(gates, weight: float):

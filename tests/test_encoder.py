@@ -4,17 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dpgo.env import Action, PoseGraphEnv
 from dpgo.geometry import Pose2
 from dpgo.graph import Edge, EdgeOrigin, se2_residuals
 from dpgo.nn import autodiff as ad
 from dpgo.nn.encoder import (
+    EDGE_DIM,
+    NODE_DIM,
     EncoderConfig,
     GateConfig,
-    GraphSnapshot,
-    ecc_forward,
     edge_attribute_matrix,
-    edge_attributes,
-    edge_residuals,
     encoder_forward,
     gate_forward,
     init_encoder_params,
@@ -24,8 +23,8 @@ from dpgo.nn.encoder import (
     make_batch,
     memory_update,
     prune,
-    snapshot_from_graph,
 )
+from dpgo.synth import GenSpec, generate
 
 from conftest import edge, make_graph, rand_graph, vertex
 from gradcheck import fd_gradcheck
@@ -37,12 +36,25 @@ def small_graph(rng, n=5, loops=3):
     return rand_graph(rng, n_poses=n, n_loops=loops)
 
 
-def batch_of(g, rng=None):
-    snap = snapshot_from_graph(g)
-    return snap, make_batch([snap], [snap.meas0])
+def batch_of(g):
+    return make_batch([g], [g.meas])
 
 
 # -- edge attributes ----------------------------------------------------------
+
+
+def edge_attributes(edge, timestep_gap: int) -> np.ndarray:
+    """11-vector: origin one-hot (4), log information diagonal (3),
+    timestep separation (1), translation magnitude (1), sin/cos of the
+    measured angle (2)."""
+    out = np.zeros(EDGE_DIM)
+    out[int(edge.origin)] = 1.0
+    out[4:7] = np.log(np.diag(np.asarray(edge.info)))
+    out[7] = abs(int(timestep_gap))
+    out[8] = math.hypot(edge.rel.x, edge.rel.y)
+    out[9] = math.sin(edge.rel.theta)
+    out[10] = math.cos(edge.rel.theta)
+    return out
 
 
 def test_edge_attributes_odometry_example():
@@ -66,8 +78,7 @@ def test_edge_attributes_log_info_oracle():
 
 def test_attribute_matrix_matches_single_edge(rng):
     g = small_graph(rng)
-    snap = snapshot_from_graph(g)
-    attr = edge_attribute_matrix(snap, snap.meas0)
+    attr = edge_attribute_matrix(g, g.meas)
     for row, e in zip(attr, g.edges):
         gap = abs(g.vertices[e.from_id].timestep - g.vertices[e.to_id].timestep)
         assert np.allclose(row, edge_attributes(e, gap))
@@ -158,25 +169,27 @@ def test_gate_config_validation():
 # -- forward pass vs naive oracle ----------------------------------------------
 
 
-def naive_forward(params, cfg, snap, meas, gates):
-    """Independent per-edge/per-node loop implementation."""
+def naive_forward(params, cfg, g, meas, gates):
+    """Independent per-edge/per-node loop implementation over the graph ``g``."""
 
     def mlp_edge(l, a):
         h = np.tanh(params[f"enc.ecc{l}.edge_w1"].data @ a + params[f"enc.ecc{l}.edge_b1"].data)
         return params[f"enc.ecc{l}.edge_w2"].data @ h + params[f"enc.ecc{l}.edge_b2"].data
 
-    attr = edge_attribute_matrix(snap, meas)
-    h = snap.node_feat.copy()
+    attr = edge_attribute_matrix(g, meas)
+    h = np.zeros((g.num_vertices, NODE_DIM))
+    for p, (x, y, theta) in enumerate(g.estimates):
+        h[p, :4] = x, y, math.sin(theta), math.cos(theta)
     dims = cfg.layer_dims
     for l in range(cfg.n_layers):
         d_in, d_out = dims[l], dims[l + 1]
-        msgs = [[] for _ in range(snap.n_nodes)]
-        for e in range(snap.n_edges):
+        msgs = [[] for _ in range(g.num_vertices)]
+        for e in range(g.num_edges):
             w = mlp_edge(l, attr[e]).reshape(d_out, d_in)
-            m = gates[e] * (w @ h[snap.edge_to[e]])
-            msgs[snap.edge_from[e]].append(m)
-        h_next = np.zeros((snap.n_nodes, d_out))
-        for p in range(snap.n_nodes):
+            m = gates[e] * (w @ h[g.e_to[e]])
+            msgs[g.e_from[e]].append(m)
+        h_next = np.zeros((g.num_vertices, d_out))
+        for p in range(g.num_vertices):
             mbar = np.mean(msgs[p], axis=0) if msgs[p] else np.zeros(d_out)
             pre = params[f"enc.ecc{l}.self_w"].data @ np.concatenate([h[p], mbar])
             h_next[p] = 1.0 / (1.0 + np.exp(-(pre + params[f"enc.ecc{l}.self_b"].data)))
@@ -186,31 +199,70 @@ def naive_forward(params, cfg, snap, meas, gates):
 
 def test_ecc_forward_matches_naive_oracle(rng):
     g = small_graph(rng, n=5, loops=4)
-    snap, batch = batch_of(g)
     params = init_encoder_params(TINY, rng)
-    gates = rng.uniform(0, 1, snap.n_edges)
-    h, latent = ecc_forward(params, TINY, batch, gates)
-    h_o, lat_o = naive_forward(params, TINY, snap, snap.meas0, gates)
+    params["enc.gate.b2"].data[:] = 0.0  # some gates strictly between 0 and 1 scale their messages
+    h, latent, gates, _ = encoder_forward(params, TINY, batch_of(g), gate_noise=rng.uniform(size=g.num_edges))
+    assert ((0.0 < gates.data) & (gates.data < 1.0)).sum() >= g.num_edges // 2
+    h_o, lat_o = naive_forward(params, TINY, g, g.meas, gates.data[:, 0])
     assert np.abs(h.data - h_o).max() < 1e-10
     assert np.abs(latent.data[0] - lat_o).max() < 1e-10
 
 
 def test_all_zero_gates_use_only_self_path(rng):
     g = small_graph(rng)
-    snap, batch = batch_of(g)
     params = init_encoder_params(TINY, rng)
-    _, latent_zero = ecc_forward(params, TINY, batch, np.zeros(snap.n_edges))
+    params["enc.gate.b2"].data[:] = -1e9
+    h, latent_zero, gates, _ = encoder_forward(params, TINY, batch_of(g))
+    assert np.all(gates.data == 0.0)
+    h_o, lat_o = naive_forward(params, TINY, g, g.meas, gates.data[:, 0])
+    assert np.abs(h.data - h_o).max() < 1e-10
     # rewiring the measurements must not matter when every message is masked
-    meas2 = snap.meas0 + rng.normal(0, 1, snap.meas0.shape)
-    batch2 = make_batch([snap], [meas2])
-    _, latent_zero2 = ecc_forward(params, TINY, batch2, np.zeros(snap.n_edges))
+    meas2 = g.meas + rng.normal(0, 1, g.meas.shape)
+    _, latent_zero2, gates2, _ = encoder_forward(params, TINY, make_batch([g], [meas2]))
+    assert np.all(gates2.data == 0.0)
     assert np.abs(latent_zero.data - latent_zero2.data).max() < 1e-12
+
+
+def test_batch_of_three_graphs_matches_single_forwards(rng):
+    graphs = [small_graph(rng, n=n, loops=k) for n, k in ((5, 2), (8, 6), (4, 1))]
+    params = init_encoder_params(TINY, rng)
+    batch = make_batch(graphs, [g.meas for g in graphs])
+    noise = rng.uniform(size=sum(g.num_edges for g in graphs))
+    h, latent, gates, _ = encoder_forward(params, TINY, batch, gate_noise=noise)
+    assert latent.data.shape == (3, TINY.hidden)
+    node0 = edge0 = 0
+    for k, g in enumerate(graphs):
+        nodes, edges = slice(node0, node0 + g.num_vertices), slice(edge0, edge0 + g.num_edges)
+        h1, latent1, gates1, _ = encoder_forward(params, TINY, batch_of(g), gate_noise=noise[edges])
+        assert np.abs(h.data[nodes] - h1.data).max() < 1e-12
+        assert np.abs(latent.data[k] - latent1.data[0]).max() < 1e-12
+        assert np.abs(gates.data[edges] - gates1.data).max() < 1e-12
+        node0, edge0 = nodes.stop, edges.stop
+
+
+def test_env_blocks_feed_the_encoder(rng):
+    env = PoseGraphEnv(generate(GenSpec(n_robots=3, poses_per_robot=6, seed=2)), 3)
+    obs = env.reset()
+    for _ in range(3):
+        actions = [Action(int(np.flatnonzero(o.mask)[0]), rng.uniform(-0.1, 0.1, 3)) for o in obs]
+        obs, _, _, _ = env.step(actions)
+    assert all(o.snapshot is sub for o, sub in zip(obs, env.part.subgraphs))
+    params = init_encoder_params(TINY, rng)
+    batch = make_batch([o.snapshot for o in obs], [o.meas for o in obs])
+    h, latent, gates, _ = encoder_forward(params, TINY, batch, gate_noise=rng.uniform(size=batch.attr.shape[0]))
+    node0 = edge0 = 0
+    for k, o in enumerate(obs):
+        g = o.snapshot
+        assert not np.array_equal(o.meas, g.meas)  # the corrections are read, not the block's originals
+        h_o, lat_o = naive_forward(params, TINY, g, o.meas, gates.data[edge0:edge0 + g.num_edges, 0])
+        assert np.abs(h.data[node0:node0 + g.num_vertices] - h_o).max() < 1e-10
+        assert np.abs(latent.data[k] - lat_o).max() < 1e-10
+        node0, edge0 = node0 + g.num_vertices, edge0 + g.num_edges
 
 
 def test_single_node_graph(rng):
     g = make_graph([vertex(0, estimate=Pose2(1.0, -2.0, 0.3))])
-    snap = snapshot_from_graph(g)
-    batch = make_batch([snap], [snap.meas0])
+    batch = batch_of(g)
     params = init_encoder_params(TINY, rng)
     h, latent, gates, _ = encoder_forward(params, TINY, batch)
     assert h.data.shape == (1, TINY.hidden)
@@ -218,13 +270,13 @@ def test_single_node_graph(rng):
 
 
 def test_make_batch_rejects_empty_or_mismatched_input(rng):
-    snap = snapshot_from_graph(small_graph(rng))
-    with pytest.raises(ValueError, match="at least one snapshot"):
+    g = small_graph(rng)
+    with pytest.raises(ValueError, match="at least one graph"):
         make_batch([], [])
-    with pytest.raises(ValueError, match="2 snapshots but 1 measurement"):
-        make_batch([snap, snap], [snap.meas0])
-    with pytest.raises(ValueError, match="1 snapshots but 2 measurement"):
-        make_batch([snap], [snap.meas0, snap.meas0])
+    with pytest.raises(ValueError, match="2 graphs but 1 measurement"):
+        make_batch([g, g], [g.meas])
+    with pytest.raises(ValueError, match="1 graphs but 2 measurement"):
+        make_batch([g], [g.meas, g.meas])
 
 
 def test_isolated_vertex_gets_zero_message(rng):
@@ -233,44 +285,26 @@ def test_isolated_vertex_gets_zero_message(rng):
         [vertex(i, timestep=i, estimate=Pose2(i, 0, 0)) for i in range(3)],
         [edge(0, 1, Pose2(1, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY)],
     )
-    snap = snapshot_from_graph(g)
-    assert snap.agg.shape == (3, 1)
-    assert snap.agg[2].nnz == 0 and snap.agg[1].nnz == 0
+    agg = batch_of(g).agg
+    assert agg.shape == (3, 1)
+    assert agg[2].nnz == 0 and agg[1].nnz == 0
 
 
 def test_edge_residuals_match_graph_edge_residual(rng):
     g = rand_graph(rng, n_poses=12, n_loops=8)
-    order = [int(k) for k in rng.permutation(len(g.edges))]
-    snap = snapshot_from_graph(g, edge_order=order)
-    meas = snap.meas0 + rng.normal(0.0, 0.3, size=snap.meas0.shape)
-    got = edge_residuals(snap, meas)
+    meas = g.meas + rng.normal(0.0, 0.3, size=g.meas.shape)
+    got = make_batch([g], [meas]).res
     assert got.shape == (len(g.edges), 3)
-    for row, i in enumerate(sorted(range(len(g.edges)), key=lambda i: order[i])):
-        e = g.edges[i]
+    for row, e in enumerate(g.edges):
         ends = (g.vertices[e.from_id].estimate, g.vertices[e.to_id].estimate, Pose2(*meas[row]))
         want = se2_residuals(*(np.array([p.as_vector()]) for p in ends))[0]
         assert np.abs(got[row] - want).max() < 1e-12
 
 
-def test_forward_bit_reproducible_under_edge_permutation(rng):
-    g = small_graph(rng, n=6, loops=5)
-    params = init_encoder_params(TINY, rng)
-    snap1 = snapshot_from_graph(g, edge_order=list(range(len(g.edges))))
-    perm = list(rng.permutation(len(g.edges)))
-    g2 = g.subgraph(slice(None), perm)
-    snap2 = snapshot_from_graph(g2, edge_order=perm)
-    h1, l1, z1, _ = encoder_forward(params, TINY, make_batch([snap1], [snap1.meas0]))
-    h2, l2, z2, _ = encoder_forward(params, TINY, make_batch([snap2], [snap2.meas0]))
-    assert np.array_equal(h1.data, h2.data)
-    assert np.array_equal(l1.data, l2.data)
-    assert np.array_equal(z1.data, z2.data)
-
-
 def test_permutation_equivariance(rng):
     g = small_graph(rng, n=7, loops=5)
     params = init_encoder_params(TINY, rng)
-    snap1 = snapshot_from_graph(g)
-    h1, l1, _, _ = encoder_forward(params, TINY, make_batch([snap1], [snap1.meas0]))
+    h1, l1, _, _ = encoder_forward(params, TINY, batch_of(g))
 
     perm = rng.permutation(7)  # relabel vertex i -> perm[i]
     vertices = []
@@ -280,11 +314,10 @@ def test_permutation_equivariance(rng):
     g2 = make_graph(
         vertices, [edge(int(perm[e.from_id]), int(perm[e.to_id]), e.rel, e.info, e.origin) for e in g.edges]
     )
-    snap2 = snapshot_from_graph(g2)
-    h2, l2, _, _ = encoder_forward(params, TINY, make_batch([snap2], [snap2.meas0]))
-    # row of vertex perm[i] in snap2 equals row of vertex i in snap1
+    h2, l2, _, _ = encoder_forward(params, TINY, batch_of(g2))
+    # row of vertex perm[i] in g2 equals row of vertex i in g
     for i in range(7):
-        row2 = snap2.vertex_ids.index(int(perm[i]))
+        row2 = int(g2.rows_of(int(perm[i])))
         assert np.abs(h2.data[row2] - h1.data[i]).max() < 1e-10
     assert np.abs(l1.data - l2.data).max() < 1e-10
 
@@ -292,15 +325,14 @@ def test_permutation_equivariance(rng):
 def test_full_encoder_gradients_match_fd(rng):
     g = small_graph(rng, n=6, loops=4)
     cfg = EncoderConfig(hidden=4, n_layers=5, edge_hidden=3, gate_hidden=3)
-    snap = snapshot_from_graph(g)
-    batch = make_batch([snap], [snap.meas0])
+    batch = batch_of(g)
     params = init_encoder_params(cfg, rng)
     # keep every gate strictly inside (0, 1): at the clip boundary the
     # straight-through backward intentionally differs from the (zero) local
     # derivative, so the check probes the differentiable region only
     params["enc.gate.b2"].data[:] = 0.0
     params["enc.gate.w2"].data *= 0.3
-    noise = rng.uniform(0.4, 0.6, snap.n_edges)
+    noise = rng.uniform(0.4, 0.6, g.num_edges)
     probe = ad.constant(rng.standard_normal((1, cfg.hidden)))
 
     def loss():
@@ -313,13 +345,12 @@ def test_full_encoder_gradients_match_fd(rng):
 def test_forward_backward_never_builds_per_edge_weight_matrices(rng):
     g = rand_graph(rng, n_poses=60, n_loops=60)
     cfg = EncoderConfig(hidden=64, n_layers=3, edge_hidden=4, gate_hidden=4)
-    snap = snapshot_from_graph(g)
-    batch = make_batch([snap], [snap.meas0])
+    batch = batch_of(g)
     params = init_encoder_params(cfg, rng)
-    one_weight_tensor = snap.n_edges * cfg.hidden * cfg.hidden * 8  # (E, 64, 64) float64
+    one_weight_tensor = g.num_edges * cfg.hidden * cfg.hidden * 8  # (E, 64, 64) float64
     tracemalloc.start()
     try:
-        _, latent, gates, _ = encoder_forward(params, cfg, batch, gate_noise=rng.uniform(size=snap.n_edges))
+        _, latent, gates, _ = encoder_forward(params, cfg, batch, gate_noise=rng.uniform(size=g.num_edges))
         ad.add(ad.sum_(latent), l1_gate_penalty(gates, 1e-3)).backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:

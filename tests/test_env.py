@@ -80,6 +80,42 @@ def test_terminal_bonus_value():
     assert abs(rewards[0] - (math.tanh(0.5 / 1.00000001) + want_bonus)) < 1e-9
 
 
+def test_terminal_bonus_is_zero_when_the_episode_starts_at_zero_error():
+    # the measurement equals the truth relative, so L_0 = 0
+    env = PoseGraphEnv(two_pose_graph(meas_x=1.0), 1)
+    env.reset()
+    assert env.l0_global == 0.0
+    _, rewards, done, info = env.step([Action(0, np.zeros(3))])
+    assert done
+    assert info["l_final"] == 0.0
+    assert info["terminal_bonus"] == 0.0
+    assert rewards[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PoseGraphEnv(two_pose_graph(), 1, delta_max_t=-0.25),
+        lambda: PoseGraphEnv(two_pose_graph(), 1, delta_max_t=0.0),
+        lambda: PoseGraphEnv(two_pose_graph(), 1, delta_max_theta=math.nan),
+        lambda: PoseGraphEnv(two_pose_graph(), 1, delta_max_theta=math.inf),
+        lambda: RewardConfig(clip=0.0),
+        lambda: RewardConfig(clip=-1.0),
+        lambda: RewardConfig(epsilon=math.nan),
+        lambda: RewardConfig(epsilon=math.inf),
+        lambda: RewardConfig(bonus_scale=math.inf),
+        lambda: RewardConfig(bonus_scale=math.nan),
+    ],
+    ids=[
+        "negative_delta_max_t", "zero_delta_max_t", "nan_delta_max_theta", "inf_delta_max_theta",
+        "zero_clip", "negative_clip", "nan_epsilon", "inf_epsilon", "inf_bonus_scale", "nan_bonus_scale",
+    ],
+)
+def test_malformed_bounds_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_exact_restore_gives_positive_reward():
     env = PoseGraphEnv(two_pose_graph(meas_x=2.0), 1, delta_max_t=2.0, reward=RewardConfig(bonus_scale=0.0))
     env.reset()
@@ -251,7 +287,7 @@ def test_current_graph_matches_rebuild_through_constructor():
         obs, _, _, _ = env.step(first_unprocessed_actions(obs, rng.uniform(-0.2, 0.2, 3)))
     got = env.current_graph()
     edges = [edge(e.from_id, e.to_id, e.rel, e.info, e.origin) for e in env.graph.edges]
-    for b, gids in enumerate(env._gids):
+    for b, gids in enumerate(env.part.edge_gids):
         for i, gid in enumerate(gids):
             e = edges[gid]
             edges[gid] = edge(e[0], e[1], Pose2(*env.meas[b][i]), e[3], e[4])
@@ -264,9 +300,3 @@ def test_current_graph_matches_rebuild_through_constructor():
         assert np.array_equal(a.info, e.info)
     assert sum(a.rel != e.rel for a, e in zip(got.edges, env.graph.edges)) == 15
     assert localization_error(got) == localization_error(want)
-
-
-def test_selector_capacity_enforced():
-    g = generate(GenSpec(n_robots=1, poses_per_robot=10, seed=7))
-    with pytest.raises(GraphError):
-        PoseGraphEnv(g, 1, selector_capacity=3)
