@@ -36,10 +36,6 @@ def wrap_angle(theta):
     return wrapped
 
 
-# For SO(2) the matrix logarithm of a rotation collapses to the wrapped angle.
-rotation_log = wrap_angle
-
-
 def rotation_matrix(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -58,10 +54,6 @@ class Pose2:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
 
-    @property
-    def translation(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     def rotation(self) -> np.ndarray:
         return rotation_matrix(self.theta)
 
@@ -76,10 +68,6 @@ class Pose2:
     def as_vector(self) -> np.ndarray:
         """(x, y, theta) as a flat array."""
         return np.array([self.x, self.y, self.theta])
-
-
-def identity() -> Pose2:
-    return Pose2(0.0, 0.0, 0.0)
 
 
 def compose(a: Pose2, b: Pose2) -> Pose2:

@@ -23,6 +23,9 @@ and ``truth`` read and write the rows) and ``edges`` (read-only
 the frozen benchmark in ``perfbench/`` reads graphs that way, and so do the
 tests. No numeric path reads them.
 
+:func:`adjacency` (a symmetric CSR matrix over vertex rows counting parallel
+edges) is the one undirected view of the edges, which the partitioner reads.
+
 :func:`se2_residuals` is the one place that evaluates edge residuals; LM, the
 objective, the localization error, the environment's reward terms and the
 encoder's gate cue all call it. Residuals are ordered ``(dtheta, dx, dy)``
@@ -33,13 +36,14 @@ and information matrices follow that ordering; pose arrays are
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .geometry import Pose2, wrap_angle
 
@@ -85,6 +89,16 @@ def _column(values, dtype, shape, name) -> np.ndarray:
     return arr
 
 
+def _ids(values, shape, name, kind) -> np.ndarray:
+    """An int64 column; a non-finite or non-integral entry is rejected by its input row."""
+    arr = _column(values, None, shape, name)
+    if arr.dtype.kind not in "iub":
+        real = arr.astype(float)
+        bad = ~(np.abs(real) < 2.0**63) | (np.trunc(real) != real)
+        _reject(bad, kind, lambda k: f"{name} {real[k]} of {kind} row {k} is not an integer")
+    return arr.astype(np.int64)
+
+
 def _pose(poses: np.ndarray, k: int) -> Pose2:
     return Pose2(*poses[k].tolist())
 
@@ -108,16 +122,16 @@ class PoseGraph:
 
     def __post_init__(self):
         n, m = np.size(self.vids), np.size(self.from_ids)
-        vids = _column(self.vids, np.int64, (n,), "vids")
-        robot = _column(self.robot, np.int64, (n,), "robot")
-        timestep = _column(self.timestep, np.int64, (n,), "timestep")
+        vids = _ids(self.vids, (n,), "vids", "vertex")
+        robot = _ids(self.robot, (n,), "robot", "vertex")
+        timestep = _ids(self.timestep, (n,), "timestep", "vertex")
         est = _column(self.estimates, float, (n, 3), "estimates")
         truth = _column(self.truths, float, (n, 3), "truths")
-        src = _column(self.from_ids, np.int64, (m,), "from_ids")
-        dst = _column(self.to_ids, np.int64, (m,), "to_ids")
+        src = _ids(self.from_ids, (m,), "from_ids", "edge")
+        dst = _ids(self.to_ids, (m,), "to_ids", "edge")
         meas = _column(self.meas, float, (m, 3), "meas")
         info = _column(self.info, float, (m, 3, 3), "info")
-        origin = _column(self.origin, np.int64, (m,), "origin")
+        origin = _ids(self.origin, (m,), "origin", "edge")
 
         order = np.argsort(vids, kind="stable")
         bad = np.zeros(n, dtype=bool)
@@ -301,35 +315,14 @@ def localization_error(g: PoseGraph) -> float:
     return float(np.einsum("ei,eij,ej->", r, g.info, r))
 
 
-def adjacency(g: PoseGraph) -> dict[int, dict[int, float]]:
-    """Undirected adjacency; weights count the edges between two vertices."""
-    adj: dict[int, dict[int, float]] = {vid: {} for vid in g.vids.tolist()}
-    for u, v in zip(g.from_ids.tolist(), g.to_ids.tolist()):
-        adj[u][v] = adj[u].get(v, 0.0) + 1.0
-        adj[v][u] = adj[v].get(u, 0.0) + 1.0
+def adjacency(g: PoseGraph) -> sp.csr_matrix:
+    """Symmetric CSR matrix over vertex rows; entry (u, v) counts the edges
+    between rows u and v. Its indices are sorted; it has no diagonal."""
+    rows, cols = np.concatenate([g.e_from, g.e_to]), np.concatenate([g.e_to, g.e_from])
+    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.num_vertices, g.num_vertices))
+    adj.sum_duplicates()
     return adj
 
 
-def components(members, adj) -> list[list[int]]:
-    """Connected components of the subgraph induced by ``members``."""
-    members = set(members)
-    comps, seen = [], set()
-    for root in sorted(members):
-        if root in seen:
-            continue
-        comp, queue = [], deque([root])
-        while queue:
-            u = queue.popleft()
-            if u in seen:
-                continue
-            seen.add(u)
-            comp.append(u)
-            for v in adj[u]:
-                if v in members and v not in seen:
-                    queue.append(v)
-        comps.append(comp)
-    return comps
-
-
-def is_connected(adj, nodes=None) -> bool:
-    return len(components(adj if nodes is None else nodes, adj)) <= 1
+def is_connected(adj: sp.csr_matrix) -> bool:
+    return csgraph.connected_components(adj, directed=False)[0] <= 1

@@ -1,11 +1,11 @@
 """Tape-based reverse-mode autodiff over numpy arrays.
 
 Deliberately small: only the operators this project's networks need
-(affine maps and matmul, fused edge-conditioned messages ``ecc_messages``
-with a hand-written backward, row gather and aggregation by a constant
-sparse matrix, elementwise sigmoid/tanh/exp/log/softplus/square/abs,
-concatenation, narrowing, reshape, reductions, a masked log-softmax, and a
-clip with a straight-through backward). Everything runs in float64.
+(affine maps, fused edge-conditioned messages ``ecc_messages`` with a
+hand-written backward, row gather and aggregation by a constant sparse
+matrix, elementwise add/sub/mul and sigmoid/tanh/exp/log/abs,
+concatenation, narrowing, sums, a masked log-softmax, and a clip with a
+straight-through backward). Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -81,23 +81,6 @@ class Tensor:
             if not node.requires_grad:
                 node.grad = None  # free intermediate grads eagerly
 
-    # Operator sugar (tracked ops below do the work).
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -157,14 +140,6 @@ def sub(a, b):
     return out
 
 
-def neg(a):
-    a = as_tensor(a)
-    out = _make(-a.data, (a,), None)
-    if out._parents:
-        out._bwd = lambda g: a._accum(-g)
-    return out
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = _make(a.data * b.data, (a, b), None)
@@ -172,17 +147,6 @@ def mul(a, b):
         def bwd(g):
             a._accum(_unbroadcast(g * b.data, a.data.shape))
             b._accum(_unbroadcast(g * a.data, b.data.shape))
-        out._bwd = bwd
-    return out
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data @ b.data, (a, b), None)
-    if out._parents:
-        def bwd(g):
-            a._accum(g @ b.data.T)
-            b._accum(a.data.T @ g)
         out._bwd = bwd
     return out
 
@@ -265,15 +229,6 @@ def sparse_matmul(s, x):
     return out
 
 
-def reshape(x, shape):
-    x = as_tensor(x)
-    old = x.data.shape
-    out = _make(x.data.reshape(shape), (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(g.reshape(old))
-    return out
-
-
 def concat(tensors, axis=-1):
     tensors = [as_tensor(t) for t in tensors]
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), None)
@@ -317,12 +272,6 @@ def sum_(x, axis=None, keepdims=False):
     return out
 
 
-def mean_(x, axis=None, keepdims=False):
-    x = as_tensor(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def sigmoid(x):
     x = as_tensor(x)
     y = np.empty_like(x.data)
@@ -359,32 +308,6 @@ def log(x):
     out = _make(np.log(x.data), (x,), None)
     if out._parents:
         out._bwd = lambda g: x._accum(g / x.data)
-    return out
-
-
-def softplus(x):
-    x = as_tensor(x)
-    y = np.logaddexp(0.0, x.data)
-    out = _make(y, (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(g * _sigmoid_np(x.data))
-    return out
-
-
-def _sigmoid_np(v):
-    y = np.empty_like(v)
-    pos = v >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ex = np.exp(v[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
-
-
-def square(x):
-    x = as_tensor(x)
-    out = _make(x.data * x.data, (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(2.0 * g * x.data)
     return out
 
 

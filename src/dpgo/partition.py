@@ -1,9 +1,13 @@
 """Balanced k-way pose-graph partitioning with separator duplication.
 
-Multilevel scheme: coarsen by heavy-edge matching, greedily split the
-coarsest graph, then uncoarsen with boundary Kernighan-Lin refinement that
-minimizes the number of cut edges under a vertex-count balance cap. A repair
-pass keeps every block internally connected.
+Multilevel scheme (Karypis & Kumar, SIAM J. Sci. Comput. 1998) on the one
+symmetric CSR adjacency over vertex rows of :func:`dpgo.graph.adjacency`,
+whose entries count parallel edges: coarsen by heavy-edge matching, greedily
+split the coarsest graph in breadth-first order, then uncoarsen with boundary
+Kernighan-Lin refinement that minimizes the cut weight under a vertex-count
+balance cap. Repair passes keep every block internally connected. A level is a
+CSR matrix, a vertex-weight array and the array mapping its rows to the
+coarser level's; an assignment is an array of block ids over rows.
 
 Edge ownership: a cut edge is assigned to the block owning its ``from``
 endpoint. Both endpoints of a cut edge are duplicated into the other
@@ -13,13 +17,14 @@ endpoint's block and recorded as separators.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .geometry import Pose2, wrap_angle  # noqa: F401  perfbench counts wrap_angle calls per importing module
-from .graph import EDGE_FIELDS, VERTEX_FIELDS, GraphError, PoseGraph, adjacency, components, is_connected
+from .graph import EDGE_FIELDS, VERTEX_FIELDS, GraphError, PoseGraph, adjacency, is_connected
 
 
 class DisconnectedInput(GraphError):
@@ -45,72 +50,40 @@ class Partition:
         return len(self.subgraphs)
 
 
-def _heavy_edge_matching(nodes, adj, weights):
-    matched = {}
-    for u in sorted(nodes):
-        if u in matched:
+def _coarsen(adj, weights):
+    """One level of heavy-edge matching. Returns the coarse row of each row,
+    the coarse adjacency ``P^T A P`` without its diagonal (P maps rows to
+    coarse rows) and the coarse vertex weights.
+
+    Rows are visited in order; an unmatched row pairs with its first unmatched
+    neighbour of largest weight. A pair's coarse row follows its smaller row.
+    """
+    ptr, idx, val = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
+    mate = list(range(len(weights)))
+    for u in range(len(mate)):
+        if mate[u] != u:
             continue
-        best, best_w = None, -1.0
-        for v, w in sorted(adj[u].items()):
-            if v in matched or v == u:
-                continue
-            if w > best_w:
-                best, best_w = v, w
-        if best is not None:
-            matched[u] = best
-            matched[best] = u
-    return matched
+        best, best_w = u, -1.0
+        for k in range(ptr[u], ptr[u + 1]):
+            if mate[idx[k]] == idx[k] and val[k] > best_w:
+                best, best_w = idx[k], val[k]
+        mate[u], mate[best] = best, u
+    _, mapping = np.unique(np.minimum(np.arange(len(mate)), mate), return_inverse=True)
+    nc = int(mapping.max()) + 1
+    a = adj.tocoo()
+    r, c = mapping[a.row], mapping[a.col]
+    off = r != c
+    coarse = sp.csr_matrix((a.data[off], (r[off], c[off])), shape=(nc, nc))
+    coarse.sum_duplicates()
+    return mapping, coarse, np.bincount(mapping, weights, nc)
 
 
-def _coarsen(nodes, adj, weights):
-    matched = _heavy_edge_matching(nodes, adj, weights)
-    mapping = {}
-    coarse_weights = {}
-    for u in sorted(nodes):
-        if u in mapping:
-            continue
-        partner = matched.get(u)
-        cid = len(coarse_weights)
-        mapping[u] = cid
-        coarse_weights[cid] = weights[u]
-        if partner is not None and partner not in mapping:
-            mapping[partner] = cid
-            coarse_weights[cid] += weights[partner]
-    coarse_adj: dict[int, dict[int, float]] = {c: {} for c in coarse_weights}
-    for u in nodes:
-        cu = mapping[u]
-        for v, w in adj[u].items():
-            cv = mapping[v]
-            if cu != cv:
-                coarse_adj[cu][cv] = coarse_adj[cu].get(cv, 0.0) + w
-    return mapping, list(coarse_weights), coarse_adj, coarse_weights
-
-
-def _bfs_order(nodes, adj):
-    order, seen = [], set()
-    for root in sorted(nodes):
-        if root in seen:
-            continue
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if u in seen:
-                continue
-            seen.add(u)
-            order.append(u)
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    queue.append(v)
-    return order
-
-
-def _initial_split(nodes, adj, weights, n, cap):
-    order = _bfs_order(nodes, adj)
-    total = sum(weights[u] for u in nodes)
-    target = total / n
-    assign = {}
+def _initial_split(adj, weights, n):
+    """Fill blocks 0, 1, ... with rows in breadth-first order from row 0."""
+    target = weights.sum() / n
+    assign = np.zeros(len(weights), dtype=np.intp)
     block, acc = 0, 0.0
-    for u in order:
+    for u in csgraph.breadth_first_order(adj, 0, directed=True, return_predecessors=False).tolist():
         if block < n - 1 and acc + weights[u] > target and acc > 0:
             block += 1
             acc = 0.0
@@ -119,74 +92,67 @@ def _initial_split(nodes, adj, weights, n, cap):
     return assign
 
 
-def _block_sizes(assign, weights, n):
-    sizes = [0.0] * n
-    for u, b in assign.items():
-        sizes[b] += weights[u]
-    return sizes
-
-
 def _refine(assign, adj, weights, n, cap, passes=6):
     """Boundary moves that reduce cut weight subject to the balance cap."""
-    sizes = _block_sizes(assign, weights, n)
+    sizes = np.bincount(assign, weights, n).tolist()
+    assign, w = assign.tolist(), weights.tolist()
+    ptr, idx, val = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
     for _ in range(passes):
         moved = 0
-        for u in sorted(assign):
-            bu = assign[u]
-            if sizes[bu] - weights[u] <= 0:
+        for u, bu in enumerate(assign):
+            if sizes[bu] - w[u] <= 0:
                 continue  # never empty a block
-            conn = defaultdict(float)
-            for v, w in adj[u].items():
-                conn[assign[v]] += w
+            conn = {}
+            for k in range(ptr[u], ptr[u + 1]):
+                conn[assign[idx[k]]] = conn.get(assign[idx[k]], 0.0) + val[k]
             best_b, best_gain = bu, 0.0
-            for b, w in sorted(conn.items()):
-                if b == bu or sizes[b] + weights[u] > cap:
-                    continue
-                gain = w - conn.get(bu, 0.0)
-                if gain > best_gain:
+            for b, cw in sorted(conn.items()):
+                gain = cw - conn.get(bu, 0.0)
+                if b != bu and sizes[b] + w[u] <= cap and gain > best_gain:
                     best_b, best_gain = b, gain
             if best_b != bu:
-                sizes[bu] -= weights[u]
-                sizes[best_b] += weights[u]
+                sizes[bu] -= w[u]
+                sizes[best_b] += w[u]
                 assign[u] = best_b
                 moved += 1
         if moved == 0:
             break
-    return assign
+    return np.array(assign, dtype=np.intp)
+
+
+def _cut_weights(adj, assign, rows, b, n) -> np.ndarray:
+    """(len(rows), n): the weight of the edges from each of ``rows`` into
+    each block other than ``b``, in one pass over their CSR rows."""
+    start, lens = adj.indptr[rows], np.diff(adj.indptr)[rows]
+    pos = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - start, lens)
+    blk = assign[adj.indices[pos]]
+    out = blk != b
+    key = np.repeat(np.arange(len(rows)), lens)[out] * n + blk[out]
+    return np.bincount(key, adj.data[pos][out], len(rows) * n).reshape(len(rows), n)
 
 
 def _repair_connectivity(assign, adj, n):
-    """Merge orphan components into the neighboring block with most cut edges."""
+    """Move each orphan component, largest first, into the neighbouring block
+    with most edges to it, in place."""
     for _ in range(n * 4):
         changed = False
         for b in range(n):
-            members = sorted(u for u, blk in assign.items() if blk == b)
-            if not members:
-                continue
-            comps = components(members, adj)
-            if len(comps) <= 1:
-                continue
-            comps.sort(key=len, reverse=True)
-            for comp in comps[1:]:
-                counts = defaultdict(float)
-                for u in comp:
-                    for v, w in adj[u].items():
-                        if assign[v] != b:
-                            counts[assign[v]] += w
-                target = max(sorted(counts), key=lambda k: counts[k]) if counts else b
-                if target != b:
-                    for u in comp:
-                        assign[u] = target
-                    changed = True
+            members = np.flatnonzero(assign == b)
+            _, labels = csgraph.connected_components(adj[members][:, members], directed=False)
+            # labels number the components in the order of their smallest row,
+            # which the stable sort keeps among components of equal size
+            for comp in np.argsort(-np.bincount(labels), kind="stable")[1:]:
+                rows = members[labels == comp]
+                assign[rows] = _cut_weights(adj, assign, rows, b, n).sum(axis=0).argmax()
+                changed = True
         if not changed:
-            return assign
-    return assign
+            return
 
 
-def _movable(members, adj) -> set:
+def _movable(members, nbrs) -> set:
     """The members whose removal leaves the rest of ``members`` connected or
     empty, from one pass of Tarjan's articulation points (iterative DFS) over
-    the subgraph they induce.
+    the subgraph they induce. ``nbrs[u]`` lists the neighbour rows of row u.
 
     In one component, those are the vertices that are no articulation point.
     With two components, only a singleton component's vertex can leave; with
@@ -203,10 +169,10 @@ def _movable(members, adj) -> set:
         start = len(disc)
         disc[root] = low[root] = start
         root_children = 0
-        stack = [(root, None, iter(adj[root]))]
+        stack = [(root, None, iter(nbrs[root]))]
         while stack:
-            u, parent, nbrs = stack[-1]
-            for v in nbrs:
+            u, parent, it = stack[-1]
+            for v in it:
                 if v not in inside or v == u or v == parent:
                     continue
                 if v in disc:
@@ -214,7 +180,7 @@ def _movable(members, adj) -> set:
                         low[u] = disc[v]
                 else:
                     disc[v] = low[v] = len(disc)
-                    stack.append((v, u, iter(adj[v])))
+                    stack.append((v, u, iter(nbrs[v])))
                     break
             else:
                 stack.pop()
@@ -235,38 +201,29 @@ def _movable(members, adj) -> set:
     return singletons if n_comps == 2 else set()
 
 
-def _rebalance_connected(assign, adj, weights, n, cap):
-    """Shrink oversized blocks by moving boundary vertices whose removal keeps
-    the source block connected."""
-    sizes = _block_sizes(assign, weights, n)
+def _rebalance_connected(assign, adj, n, cap):
+    """Shrink oversized blocks, in place, by moving boundary vertices whose
+    removal keeps the source block connected: by most edges to their target
+    block (the smallest id among the best), then by row."""
+    sizes = np.bincount(assign, minlength=n)
+    idx = adj.indices.tolist()
+    nbrs = [idx[a:b] for a, b in zip(adj.indptr[:-1].tolist(), adj.indptr[1:].tolist())]
     for _ in range(len(assign)):
-        over = [b for b in range(n) if sizes[b] > cap]
-        if not over:
-            return assign
-        b = max(over, key=lambda k: sizes[k])
-        members = sorted(u for u, blk in assign.items() if blk == b)
-        moved = False
-        candidates = []
-        for u in members:
-            conn = defaultdict(float)
-            for v, w in adj[u].items():
-                if assign[v] != b:
-                    conn[assign[v]] += w
-            if conn:
-                tb = max(sorted(conn), key=lambda k: conn[k])
-                candidates.append((-(conn[tb]), u, tb))
-        movable = _movable(members, adj)
-        for _, u, tb in sorted(candidates):
-            if sizes[tb] + weights[u] > cap or u not in movable:
-                continue
-            assign[u] = tb
-            sizes[b] -= weights[u]
-            sizes[tb] += weights[u]
-            moved = True
-            break
-        if not moved:
-            return assign
-    return assign
+        b = int(sizes.argmax())
+        if sizes[b] <= cap:
+            return
+        members = np.flatnonzero(assign == b)
+        cut = _cut_weights(adj, assign, members, b, n)
+        target = cut.argmax(axis=1)
+        weight = cut[np.arange(len(members)), target]
+        cands = np.flatnonzero((weight > 0) & (sizes[target] < cap))
+        movable = _movable(members.tolist(), nbrs)
+        k = next((k for k in cands[np.argsort(-weight[cands], kind="stable")] if members[k] in movable), None)
+        if k is None:
+            return
+        assign[members[k]] = target[k]
+        sizes[b] -= 1
+        sizes[target[k]] += 1
 
 
 def balance_cap(num_vertices: int, n: int, balance_tol: float) -> int:
@@ -283,35 +240,24 @@ def partition(g: PoseGraph, n: int, balance_tol: float = 0.15) -> Partition:
     if not is_connected(adj):
         raise DisconnectedInput("input pose graph is not connected")
 
-    vids = g.vids.tolist()
-    if n == 1:
-        assign = {vid: 0 for vid in vids}
-    else:
-        weights = {vid: 1.0 for vid in vids}
-        levels = [(vids, adj, weights, None)]
-        nodes, cur_adj, cur_w = levels[0][0], adj, weights
-        while len(nodes) > max(20, 4 * n):
-            mapping, cnodes, cadj, cw = _coarsen(nodes, cur_adj, cur_w)
-            if len(cnodes) >= len(nodes):
-                break
-            levels.append((cnodes, cadj, cw, mapping))
-            nodes, cur_adj, cur_w = cnodes, cadj, cw
-        cap = balance_cap(g.num_vertices, n, balance_tol)
-        assign = _initial_split(nodes, cur_adj, cur_w, n, cap)
-        assign = _refine(assign, cur_adj, cur_w, n, cap)
-        for lvl in range(len(levels) - 1, 0, -1):
-            mapping = levels[lvl][3]
-            fine_nodes, fine_adj, fine_w, _ = levels[lvl - 1]
-            assign = {u: assign[mapping[u]] for u in fine_nodes}
-            assign = _refine(assign, fine_adj, fine_w, n, cap)
-        assign = _repair_connectivity(assign, adj, n)
-        assign = _rebalance_connected(assign, adj, {vid: 1.0 for vid in vids}, n, cap)
-
+    cap = balance_cap(g.num_vertices, n, balance_tol)
+    levels = []  # (adjacency, vertex weights, mapping to the next coarser level's rows)
+    cur, weights = adj, np.ones(g.num_vertices)
+    while cur.shape[0] > max(20, 4 * n):
+        mapping, coarse, coarse_weights = _coarsen(cur, weights)
+        if coarse.shape[0] >= cur.shape[0]:
+            break
+        levels.append((cur, weights, mapping))
+        cur, weights = coarse, coarse_weights
+    assign = _refine(_initial_split(cur, weights, n), cur, weights, n, cap)
+    for fine, fine_weights, mapping in reversed(levels):
+        assign = _refine(assign[mapping], fine, fine_weights, n, cap)
+    _repair_connectivity(assign, adj, n)
+    _rebalance_connected(assign, adj, n, cap)
     return _build_partition(g, assign, n)
 
 
-def _build_partition(g: PoseGraph, assign: dict[int, int], n: int) -> Partition:
-    owner = np.array([assign[vid] for vid in g.vids.tolist()], dtype=np.intp)
+def _build_partition(g: PoseGraph, owner: np.ndarray, n: int) -> Partition:
     b_from, b_to = owner[g.e_from], owner[g.e_to]
     cut = b_from != b_to
     # holds[v, b]: block b has a copy of vertex row v
@@ -324,7 +270,7 @@ def _build_partition(g: PoseGraph, assign: dict[int, int], n: int) -> Partition:
     separators = {
         int(g.vids[v]): np.flatnonzero(holds[v]).tolist() for v in np.flatnonzero(holds.sum(axis=1) > 1)
     }
-    return Partition(subgraphs, dict(assign), separators, edge_gids)
+    return Partition(subgraphs, dict(zip(g.vids.tolist(), owner.tolist())), separators, edge_gids)
 
 
 def merge(p: Partition, resolved: dict[int, Pose2]) -> PoseGraph:

@@ -20,11 +20,11 @@ def test_add_mul_broadcast_grads(rng):
 
 
 def test_linear_and_matmul_grads(rng):
-    p = _params(rng, x=(5, 4), w=(3, 4), b=(3,), m=(3, 2))
+    p = _params(rng, x=(5, 4), w=(3, 4), b=(3,), m=(2, 3))
 
     def loss():
-        y = ad.linear(p["x"], p["w"], p["b"])
-        return ad.sum_(ad.square(ad.matmul(y, p["m"])))
+        y = ad.linear(ad.linear(p["x"], p["w"], p["b"]), p["m"])
+        return ad.sum_(ad.mul(y, y))
 
     fd_gradcheck(p, loss, rng)
 
@@ -72,20 +72,20 @@ def test_elementwise_grads(rng):
         return ad.sum_(
             ad.add(
                 ad.add(ad.log(x), ad.exp(ad.mul(x, -0.3))),
-                ad.add(ad.softplus(x), ad.abs_(ad.sub(x, 1.0))),
+                ad.add(ad.tanh(x), ad.abs_(ad.sub(x, 1.0))),
             )
         )
 
     fd_gradcheck(p, loss, rng)
 
 
-def test_concat_narrow_reshape_mean_grads(rng):
+def test_concat_narrow_sum_grads(rng):
     p = _params(rng, a=(3, 2), b=(3, 4))
 
     def loss():
         c = ad.concat([p["a"], p["b"]], axis=1)
         left = ad.narrow(c, 1, 0, 3)
-        return ad.mean_(ad.square(ad.reshape(left, (9, 1))))
+        return ad.sum_(ad.mul(ad.sum_(ad.mul(left, left), axis=0, keepdims=True), 1.0 / 9))
 
     fd_gradcheck(p, loss, rng)
 
@@ -123,7 +123,7 @@ def test_masked_log_softmax_grads(rng):
 def test_no_grad_builds_no_tape(rng):
     x = ad.parameter(rng.standard_normal(3))
     with ad.no_grad():
-        y = ad.sum_(ad.square(x))
+        y = ad.sum_(ad.mul(x, x))
     assert y._parents == ()
     assert y._bwd is None
 

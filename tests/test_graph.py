@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from dpgo.geometry import Pose2, compose, relative, wrap_angle
 from dpgo.graph import (
+    EDGE_FIELDS,
+    VERTEX_FIELDS,
     EdgeOrigin,
     GraphError,
     MissingGroundTruth,
     NonPSDInformation,
+    PoseGraph,
     localization_error,
     objective,
     se2_residuals,
@@ -236,3 +239,23 @@ def test_rejection_names_the_input_row():
             [vertex(0), vertex(1)], [edge(0, 1, Pose2(1, 0, 0), np.eye(3)), edge(7, 1, Pose2(1, 0, 0), np.eye(3))]
         )
     assert exc.value.position == ("edge", 1)
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [("vids", "vertex"), ("robot", "vertex"), ("timestep", "vertex"), ("from_ids", "edge"), ("to_ids", "edge"),
+     ("origin", "edge")],
+)
+def test_non_integral_id_columns_are_rejected_by_row(name, kind):
+    edges = [edge(i, i + 1, Pose2(1, 0, 0), np.eye(3)) for i in (0, 1)]
+    g = make_graph([vertex(i, timestep=i) for i in range(3)], edges)
+    columns = {f: getattr(g, f).tolist() for f in VERTEX_FIELDS + EDGE_FIELDS}
+    good = columns[name]
+    for bad in (good[1] + 0.7, math.nan, -math.inf):
+        columns[name] = [bad if k == 1 else v for k, v in enumerate(good)]
+        with pytest.raises(GraphError, match=name) as exc:
+            PoseGraph(**columns)
+        assert exc.value.position == (kind, 1)
+    for same in ([float(v) for v in good], [np.int32(v) for v in good]):
+        columns[name] = same
+        assert getattr(PoseGraph(**columns), name).tolist() == good

@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from dpgo.consensus import information_weighted_mean
 from dpgo.geometry import Pose2
-from dpgo.graph import EdgeOrigin, is_connected, objective
+from dpgo.graph import EDGE_FIELDS, EdgeOrigin, adjacency, objective
 from dpgo.partition import (
     DisconnectedInput,
     UnresolvedSeparator,
@@ -124,16 +128,71 @@ def test_partition_blocks_internally_connected():
 )
 def test_movable_matches_bfs_rule(case):
     edges, members, n = case
-    adj = {u: {} for u in range(n)}
-    for u, v in edges:
-        adj[u][v] = adj[v][u] = 1.0
+    rows, cols = (list(t) for t in zip(*edges)) if edges else ([], [])
+    adj = sp.csr_matrix((np.ones(2 * len(edges)), (rows + cols, cols + rows)), shape=(n, n))
+    adj.sum_duplicates()
     members = sorted(members)
-    bfs = set()
+    want = set()
     for u in members:
         rest = [v for v in members if v != u]
-        if not rest or is_connected(adj, rest):
-            bfs.add(u)
-    assert _movable(members, adj) == bfs
+        if not rest or csgraph.connected_components(adj[rest][:, rest], directed=False)[0] == 1:
+            want.add(u)
+    nbrs = [adj.indices[adj.indptr[u] : adj.indptr[u + 1]].tolist() for u in range(n)]
+    assert _movable(members, nbrs) == want
+
+
+def owner_rows(g, p):
+    return np.array([p.owner[vid] for vid in g.vids.tolist()], dtype=np.int64)
+
+
+graphs = st.one_of(
+    st.builds(
+        lambda seed, n_poses, n_loops: rand_graph(np.random.default_rng(seed), n_poses, n_loops),
+        st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(0, 30),
+    ),
+    st.builds(
+        lambda r, p, s: generate(GenSpec(r, p, seed=s)), st.integers(1, 4), st.integers(2, 12), st.integers(0, 999)
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(graphs, st.data())
+def test_partition_and_merge_properties(g, data):
+    n = data.draw(st.integers(1, min(6, g.num_vertices)), label="n")
+    p = partition(g, n, balance_tol=data.draw(st.floats(0.0, 0.5), label="balance_tol"))
+    recount(g, p)
+    adj, owner = adjacency(g), owner_rows(g, p)
+    for b in range(n):
+        rows = np.flatnonzero(owner == b)
+        assert csgraph.connected_components(adj[rows][:, rows], directed=False)[0] <= 1
+    resolved = separator_means(p) if p.separators else {}
+    m = merge(p, resolved)
+    assert np.array_equal(m.vids, g.vids)
+    assert all(np.array_equal(getattr(m, f), getattr(g, f)) for f in EDGE_FIELDS)
+    for vid in g.vids.tolist():
+        assert m.vertices[vid].estimate == resolved.get(vid, g.vertices[vid].estimate)
+
+
+@pytest.mark.parametrize(
+    "robots, poses, owned, held, n_separators, n_cut, digest",
+    [
+        (4, 60, [69, 62, 40, 69], [98, 93, 59, 80], 89, 71, "f824561335c0711c"),
+        (4, 100, [114, 98, 114, 74], [165, 140, 208, 83], 167, 191, "442aeb8b9374ea58"),
+        (8, 250, [287, 287, 287, 111, 287, 282, 248, 211], [386, 407, 402, 166, 305, 299, 315, 215], 430, 427,
+         "32cf2891aec519a7"),
+    ],
+)
+def test_benchmark_graph_partitions_are_pinned(robots, poses, owned, held, n_separators, n_cut, digest):
+    # the benchmark's graphs: any change of assignment changes these numbers
+    g = generate(GenSpec(robots, poses, seed=0))
+    p = partition(g, robots)
+    owner = owner_rows(g, p)
+    assert np.bincount(owner, minlength=robots).tolist() == owned
+    assert [s.num_vertices for s in p.subgraphs] == held
+    assert len(p.separators) == n_separators
+    assert int((owner[g.e_from] != owner[g.e_to]).sum()) == n_cut
+    assert hashlib.sha256(owner.tobytes()).hexdigest()[:16] == digest
 
 
 def test_disconnected_input_raises():
