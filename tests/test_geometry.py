@@ -78,14 +78,19 @@ def test_scalar_wrap_angle_matches_array_path_bitwise(theta):
             assert np.float64(got).view(np.uint64) == want.view(np.uint64)
 
 
-def test_wrap_angle_matches_matrix_logarithm_oracle():
-    # for SO(2) the matrix logarithm of a rotation is the wrapped angle
+# The SO(2) rotation logarithm is the wrapped angle: wrap_angle is the log map.
+
+
+def test_rotation_log_matches_matrix_logarithm_oracle():
     rng = np.random.default_rng(9)
     for _ in range(100):
         theta = rng.uniform(-4 * math.pi, 4 * math.pi)
         m = scipy.linalg.logm(rotation_matrix(theta))
         oracle = float(m[1, 0])
         assert abs(wrap_angle(theta) - oracle) < 1e-10
+
+
+def test_rotation_log_of_exp_roundtrip():
     for theta in np.linspace(-math.pi + 1e-9, math.pi, 50):
         assert abs(wrap_angle(theta) - theta) < 1e-12
 
