@@ -15,6 +15,12 @@ conditions grad f_b = -rho u_b add up to sum_b grad f_b = 0: the result is a
 stationary point of the summed local objectives, and each subgraph's
 information enters through its own objective. The penalty is doubled (duals
 halved) when the disagreement stalls.
+
+A block's edges, anchor and separator copies stay the same across rounds,
+only the prior targets and weights change, so each block's
+:class:`dpgo.refine.LMSystem` (free rows, elimination order, normal-equation
+pattern and scatter indices) is built once, before the first round, and
+every round's local solve reuses it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from .geometry import Pose2, wrap_angle
 from .graph import PoseGraph
 from .partition import Partition
-from .refine import LMConfig, PriorFactor, lm_refine_full
+from .refine import LMConfig, LMSystem, PriorFactor, lm_refine_full
 
 _RIDGE = 1e-9
 
@@ -113,14 +119,17 @@ def admm_consensus(p: Partition, cfg: AdmmConfig | None = None) -> AdmmResult:
     block_rows = [
         np.array([i for i, (_, cb) in enumerate(copies) if cb == b], dtype=np.intp) for b in range(part.n_blocks)
     ]
-    # the vertex row of each of a block's copies; LM keeps a block's vertices and their order
-    local_rows = [sub.rows_of([copies[i][0] for i in rows]) for sub, rows in zip(part.subgraphs, block_rows)]
+    # LM returns each block's graph with its edge arrays shared, so one system serves every round
+    systems = [
+        LMSystem(sub, anchor, [copies[i][0] for i in rows])
+        for sub, anchor, rows in zip(part.subgraphs, anchors, block_rows)
+    ]
     eye = np.broadcast_to(np.eye(3), (len(copies), 3, 3))
 
     def copy_poses() -> np.ndarray:
         x = np.empty((len(copies), 3))
-        for sub, rows, local in zip(part.subgraphs, block_rows, local_rows):
-            x[rows] = sub.estimates[local]
+        for sub, rows, system in zip(part.subgraphs, block_rows, systems):
+            x[rows] = sub.estimates[system.rows[1:]]  # the copies' vertex rows; LM keeps a block's rows
         return x
 
     z = information_weighted_mean(copy_poses(), eye, copy_sep)
@@ -135,7 +144,8 @@ def admm_consensus(p: Partition, cfg: AdmmConfig | None = None) -> AdmmResult:
         targets = _wrap_theta(z[copy_sep] - u)
         for b, sub in enumerate(part.subgraphs):
             priors = tuple(PriorFactor(copies[i][0], targets[i], sqrt_w) for i in block_rows[b])
-            part.subgraphs[b] = lm_refine_full(sub, cfg=local_cfg, anchor=anchors[b], priors=priors).graph
+            res = lm_refine_full(sub, cfg=local_cfg, anchor=anchors[b], priors=priors, system=systems[b])
+            part.subgraphs[b] = res.graph
 
         x = copy_poses()
         z = information_weighted_mean(_wrap_theta(x + u), eye, copy_sep)

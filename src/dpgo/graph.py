@@ -9,13 +9,16 @@ the order given: ``from_ids``, ``to_ids`` (E,) vertex ids and ``e_from``,
 ``origin`` (E,) :class:`EdgeOrigin` codes.
 
 The constructor is the one validation, one batched pass over all rows where
-data enters; derived graphs (LM output, copies, partition blocks, merge,
-pruning, outliers, the environment's export) go through it too, mostly by
+data enters; derived graphs (copies, partition blocks, merge, pruning,
+outliers, the environment's export) go through it too, mostly by
 :func:`dataclasses.replace`. It wraps the theta columns, keeps the symmetric
 part of each information matrix and makes every array but ``estimates`` and
 ``truths`` read-only. An error names the offending vertex or edge, and its
 ``position`` holds the row's kind and input index, so a loader can name the
-line.
+line. :meth:`PoseGraph.with_estimates` is the one narrow path around it: it
+validates only the estimate array it replaces and shares every read-only
+array. LM returns its graph through it, so the edge arrays of a consensus
+block stay the same objects across rounds.
 
 Every stage reads the arrays. ``vertices`` (id -> a view whose ``estimate``
 and ``truth`` read and write the rows) and ``edges`` (read-only
@@ -35,6 +38,7 @@ and information matrices follow that ordering; pose arrays are
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -196,6 +200,24 @@ class PoseGraph:
 
     def copy(self) -> PoseGraph:
         return replace(self)
+
+    def with_estimates(self, estimates) -> PoseGraph:
+        """This graph with its ``estimates`` replaced by a copy of the (N, 3)
+        array ``estimates``, in vertex row order.
+
+        Only that array is validated: its shape, finite rows (an error names
+        the vertex and sets ``position`` to its row) and the wrapped theta
+        column. Every read-only array is shared, since the constructor
+        validated it once; ``truths`` is copied, as it stays writable.
+        """
+        est = _column(estimates, float, (self.num_vertices, 3), "estimates")
+        bad = ~np.isfinite(est).all(axis=1)
+        _reject(bad, "vertex", lambda i: f"non-finite estimate {_pose(est, i)} on vertex {self.vids[i]}")
+        est[:, 2] = wrap_angle(est[:, 2])
+        out = copy.copy(self)  # copies the attribute dict; __post_init__ does not run
+        object.__setattr__(out, "estimates", est)
+        object.__setattr__(out, "truths", self.truths.copy())
+        return out
 
     @property
     def num_vertices(self) -> int:

@@ -2,28 +2,40 @@
 
 Minimizes the global objective (the sum of squared residuals of
 :func:`dpgo.graph.se2_residuals`) by damped Gauss-Newton steps
-with analytic Jacobians, solving sparse normal equations by sparse LU. Each
-solve chooses the elimination order once, from the graph: a symmetric
-minimum-degree order of the block graph of H (one node per free vertex,
-one edge per pair of vertices that share a factor), as in square-root SAM
-(Dellaert and Kaess, IJRR 2006). It then builds the CSC sparsity pattern of
-the normal equations and the scatter indices into it once, in that order;
-an iteration fills the pattern's values, and each damped try adds the
-damping at the stored diagonal positions only and factors in the fixed
-order. H = JᵀJ (plus prior blocks) is positive semidefinite, so H + mu I is
-positive definite for mu > 0 and Gaussian elimination on its diagonal is
-stable without pivoting; the factorization therefore keeps the diagonal
-pivots and the order. The state is the (N, 3) pose array
-(x, y, theta) of the vertices in sorted id order, so each variable block is
-(x, y, theta) while residual rows are (dtheta, dx, dy). One vertex is
-anchored to remove the gauge freedom. Optional prior factors (used by the
-consensus layer) pull selected vertices toward target poses.
+with analytic Jacobians, solving sparse normal equations by sparse LU. The
+state is the (N, 3) pose array (x, y, theta) of the vertices in sorted id
+order, so each variable block is (x, y, theta) while residual rows are
+(dtheta, dx, dy). One vertex is anchored to remove the gauge freedom.
+Optional prior factors (used by the consensus layer) pull selected vertices
+toward target poses.
+
+What depends only on the graph's edge arrays, the anchor and the vertices
+that carry priors is an :class:`LMSystem`, built once for a solve or, by a
+caller that solves one graph repeatedly (a consensus block, once per
+round), once for all of its solves. It holds the free vertex rows and the
+elimination order: a symmetric minimum-degree order of the block graph of H
+(one node per free vertex, one edge per pair of vertices that share a
+factor), as in square-root SAM (Dellaert and Kaess, IJRR 2006). It also
+holds the CSC sparsity pattern of the normal equations and the scatter
+indices into it, all in that order, and one damped CSC matrix whose values
+each factorization overwrites in place. An iteration fills the pattern's
+values; each damped try adds the damping at the stored diagonal positions
+only and factors in the fixed order. H = JᵀJ (plus prior blocks) is
+positive semidefinite, so H + mu I is positive definite for mu > 0 and
+Gaussian elimination on its diagonal is stable without pivoting; the
+factorization therefore keeps the diagonal pivots and the order. The prior
+blocks SᵀS depend on the prior weights, which the consensus layer changes
+between solves, so each solve computes them. The residuals that decided an
+accepted step are the ones the next iteration assembles from, and the
+output graph shares the input's read-only arrays
+(:meth:`dpgo.graph.PoseGraph.with_estimates`), so the same system serves
+the next solve on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,14 +94,13 @@ class LMResult:
     stop: str  # "gtol", "ftol", "max_iters" or "floor" (no finite step lowers f)
 
 
-def _residuals_jacobians(x, e_from, e_to, meas):
-    """Residuals (E, 3) and their Jacobian blocks A, B (E, 3, 3) with respect
-    to the source and target poses (x, y, theta)."""
-    xp = x[e_from]
-    r = se2_residuals(xp, x[e_to], meas)
+def _jacobians(x, r, e_from, meas):
+    """Jacobian blocks A, B (E, 3, 3) of the edge residuals ``r`` at ``x``
+    with respect to the source and target poses (x, y, theta)."""
     # R_p^T (t_q - t_p): the residual's translation plus the measured one
     tx, ty = r[:, 1] + meas[:, 0], r[:, 2] + meas[:, 1]
-    c, s = np.cos(xp[:, 2]), np.sin(xp[:, 2])
+    theta = x[e_from, 2]
+    c, s = np.cos(theta), np.sin(theta)
     b = np.zeros((len(e_from), 3, 3))
     b[:, 0, 2] = 1.0
     b[:, 1, 0], b[:, 1, 1] = c, s
@@ -97,7 +108,7 @@ def _residuals_jacobians(x, e_from, e_to, meas):
     a = -b
     a[:, 1, 2] = ty
     a[:, 2, 2] = -tx
-    return r, a, b
+    return a, b
 
 
 def _prior_residuals(x, rows, targets, sqrt_w):
@@ -107,14 +118,15 @@ def _prior_residuals(x, rows, targets, sqrt_w):
     return np.einsum("pij,pj->pi", sqrt_w, d)
 
 
-def _objective_value(x, e_from, e_to, meas, prior):
+def _residuals(x, e_from, e_to, meas, prior):
+    """Edge residuals (E, 3), weighted prior residuals (P, 3) and the objective at ``x``."""
     r = se2_residuals(x[e_from], x[e_to], meas)
     rp = _prior_residuals(x, *prior)
-    return float((r * r).sum()) + float((rp * rp).sum())
+    return r, rp, float((r * r).sum()) + float((rp * rp).sum())
 
 
 class _NormalEquations:
-    """Normal equations ``H d = -g`` of the free variables of one LM solve.
+    """Normal equations ``H d = -g`` of the free variables of a graph.
 
     The elimination order is chosen once, here: a symmetric minimum-degree
     order of the block graph of H (one node per free vertex), and free vertex
@@ -125,11 +137,10 @@ class _NormalEquations:
     all in that order, so H, g and the step need no permutation later.
     Duplicates (parallel edges, several priors on one vertex) are summed by
     ``np.bincount``; terms on the anchor go to one trailing bin that is
-    dropped.
+    dropped. ``factor`` refills the values of one stored CSC matrix.
     """
 
-    def __init__(self, free_of, n_free, e_from, e_to, prior):
-        p_rows, _, sqrt_w = prior
+    def __init__(self, free_of, n_free, e_from, e_to, p_rows):
         ends = free_of[np.stack([e_from, e_to], axis=1)]  # (E, 2): free index of source, target
         fprior = free_of[p_rows]
         k = np.arange(3)
@@ -174,32 +185,66 @@ class _NormalEquations:
         self.h_scatter = np.concatenate([edge_pos.ravel(), h_pos[n_edge : len(bi) - n_free].ravel()])
         gv = np.append(self.perm, -1)[np.concatenate([ends.ravel(), fprior])]
         self.g_scatter = np.where(gv[:, None] >= 0, 3 * gv[:, None] + k, self.n).ravel()
-        self.prior_blocks = np.einsum("pji,pjk->pik", sqrt_w, sqrt_w).ravel()
+        self._matrix = sp.csc_matrix((np.zeros(self.nnz), self.indices, self.indptr), shape=(self.n, self.n))
 
-    def assemble(self, x, e_from, e_to, meas, prior):
-        """H's CSC ``data`` and the gradient g at the pose array ``x``."""
-        r, a, b = _residuals_jacobians(x, e_from, e_to, meas)
-        rp = _prior_residuals(x, *prior)
+    def assemble(self, x, e_from, meas, r, rp, sqrt_w, prior_blocks):
+        """H's CSC ``data`` and the gradient g at the pose array ``x``, from the
+        edge residuals ``r`` and weighted prior residuals ``rp`` at ``x``, the
+        prior square-root weights and their products ``prior_blocks`` (SᵀS)."""
+        a, b = _jacobians(x, r, e_from, meas)
         jac = np.concatenate([a, b], axis=2)  # (E, 3, 6): [A B]
         jac_t = jac.transpose(0, 2, 1)
-        h_terms = np.concatenate([(jac_t @ jac).ravel(), self.prior_blocks])
-        g_terms = np.concatenate([(jac_t @ r[:, :, None]).ravel(), np.einsum("pji,pj->pi", prior[2], rp).ravel()])
+        h_terms = np.concatenate([(jac_t @ jac).ravel(), prior_blocks.ravel()])
+        g_terms = np.concatenate([(jac_t @ r[:, :, None]).ravel(), np.einsum("pji,pj->pi", sqrt_w, rp).ravel()])
         h = np.bincount(self.h_scatter, h_terms, minlength=self.nnz + 1)[: self.nnz]
         g = np.bincount(self.g_scatter, g_terms, minlength=self.n + 1)[: self.n]
         return h, g
 
     def damped(self, h, mu):
-        """CSC matrix of H + mu I, for H's ``data`` ``h``."""
+        """A new CSC matrix of H + mu I, for H's ``data`` ``h``."""
         data = h.copy()
         data[self.diag] += mu
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def factor(self, h, mu):
-        """LU factors of H + mu I in the stored order. The matrix is symmetric
-        positive definite for mu > 0, so the diagonal pivots are stable."""
-        return spla.splu(
-            self.damped(h, mu), permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
+        """LU factors of H + mu I in the stored order, written into the stored
+        matrix's values. The matrix is symmetric positive definite for mu > 0,
+        so the diagonal pivots are stable."""
+        data = self._matrix.data
+        data[:] = h
+        data[self.diag] += mu
+        return spla.splu(self._matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+class LMSystem:
+    """The part of an LM solve that the graph's edge arrays, its anchor and
+    the vertices carrying priors fix (see the module docstring).
+
+    ``rows`` holds the anchor's row, then each prior vertex's row in order;
+    ``free`` the vertex row of each block of the step; ``neq`` the normal
+    equations, None when nothing is free or nothing is fitted. A system
+    serves every :func:`lm_refine_full` call on a graph with the same
+    ``e_from``/``e_to`` objects (the graph it was built from and the graphs
+    LM returns from it), the same anchor and the same prior vertices in the
+    same order.
+    """
+
+    def __init__(self, g: PoseGraph, anchor: int, prior_vertices):
+        p_vids = list(prior_vertices)
+        rows = g.rows_of([anchor, *p_vids])
+        if rows[0] < 0:
+            raise GraphError(f"anchor {anchor} is not a vertex of the graph")
+        if (rows[1:] < 0).any():
+            raise GraphError(f"PriorFactor.vertex {p_vids[int(np.argmax(rows[1:] < 0))]} is not a vertex of the graph")
+        self.e_from, self.e_to, self.rows = g.e_from, g.e_to, rows
+        free = np.flatnonzero(np.arange(g.num_vertices) != rows[0])
+        self.neq = None
+        if len(free) and (len(g.e_from) or len(rows) > 1):
+            free_of = np.full(g.num_vertices, -1, dtype=np.intp)
+            free_of[free] = np.arange(len(free))
+            self.neq = _NormalEquations(free_of, len(free), g.e_from, g.e_to, rows[1:])
+            free = free[np.argsort(self.neq.perm)]
+        self.free = free
 
 
 def lm_refine_full(
@@ -208,44 +253,48 @@ def lm_refine_full(
     *,
     anchor: int | None = None,
     priors: tuple = (),
+    system: LMSystem | None = None,
 ) -> LMResult:
+    """Refine the estimates of ``g``; ``anchor`` defaults to the lowest vertex id.
+
+    ``system`` is an :class:`LMSystem` built for this graph, anchor and prior
+    vertices, to skip building one; passing it changes no number. A system
+    built for another graph, anchor or prior vertex set is rejected.
+    """
     cfg = cfg or LMConfig()
     x, e_from, e_to, meas = g.estimates.copy(), g.e_from, g.e_to, g.meas
     if anchor is None:
         anchor = int(g.vids[0])
     p_vids = [p.vertex for p in priors]
-    rows = g.rows_of([anchor] + p_vids)
-    if rows[0] < 0:
-        raise GraphError(f"anchor {anchor} is not a vertex of the graph")
-    if (rows[1:] < 0).any():
-        raise GraphError(f"PriorFactor.vertex {p_vids[int(np.argmax(rows[1:] < 0))]} is not a vertex of the graph")
+    if system is None:
+        system = LMSystem(g, anchor, p_vids)
+    elif not (
+        system.e_from is e_from and system.e_to is e_to and np.array_equal(system.rows, g.rows_of([anchor, *p_vids]))
+    ):
+        raise GraphError("the LMSystem was built for another graph, anchor or prior vertex set")
     prior = (
-        rows[1:],
+        system.rows[1:],
         np.array([p.target for p in priors], dtype=float).reshape(-1, 3),
         np.array([p.sqrt_weight for p in priors], dtype=float).reshape(-1, 3, 3),
     )
     finite = np.isfinite(prior[1]).all(axis=1)
     if not finite.all():
         raise GraphError(f"PriorFactor.target on vertex {p_vids[int(np.argmin(finite))]} is not finite")
-    free = np.flatnonzero(np.arange(g.num_vertices) != rows[0])
-    free_of = np.full(g.num_vertices, -1, dtype=np.intp)
-    free_of[free] = np.arange(len(free))
-    n_free = len(free)
+    neq, free = system.neq, system.free
 
     iterates: list[LMIterate] = []
-    f_cur = _objective_value(x, e_from, e_to, meas, prior)
+    r, rp, f_cur = _residuals(x, e_from, e_to, meas, prior)
     mu = cfg.mu0
     it = 0
     # with nothing free or nothing to fit, the gradient is empty or zero
-    stop = None if n_free > 0 and (len(e_from) or priors) else "gtol"
+    stop = None if neq is not None else "gtol"
     if stop is None:
-        neq = _NormalEquations(free_of, n_free, e_from, e_to, prior)
-        free = free[np.argsort(neq.perm)]  # the vertex of each block of the step
+        prior_blocks = np.einsum("pji,pjk->pik", prior[2], prior[2])
     while stop is None:
         if it >= cfg.max_iters:
             stop = "max_iters"
             break
-        h, grad = neq.assemble(x, e_from, e_to, meas, prior)
+        h, grad = neq.assemble(x, e_from, meas, r, rp, prior[2], prior_blocks)
         if np.abs(grad).max() < cfg.gtol:
             stop = "gtol"
             break
@@ -257,19 +306,19 @@ def lm_refine_full(
                 ok = np.isfinite(delta).all()
             except RuntimeError:
                 ok = False
-                delta = np.zeros(n_free * 3)
+                delta = np.zeros(len(free) * 3)
             solved = solved or ok
             if ok:
                 x_try = x.copy()
                 x_try[free] += delta.reshape(-1, 3)
                 x_try[free, 2] = wrap_angle(x_try[free, 2])
-                f_try = _objective_value(x_try, e_from, e_to, meas, prior)
+                r_try, rp_try, f_try = _residuals(x_try, e_from, e_to, meas, prior)
             else:
                 f_try = math.inf
             step_norm = float(np.linalg.norm(delta))
             if f_try < f_cur:
                 rel_dec = (f_cur - f_try) / max(f_cur, 1e-300)
-                x, f_cur = x_try, f_try
+                x, r, rp, f_cur = x_try, r_try, rp_try, f_try
                 iterates.append(LMIterate(it, f_cur, mu, step_norm, True))
                 mu = max(mu * cfg.mu_down, 1e-15)
                 if rel_dec < cfg.ftol:
@@ -284,7 +333,7 @@ def lm_refine_full(
                 stop = "floor"
                 break
 
-    return LMResult(replace(g, estimates=x), iterates, anchor, stop)
+    return LMResult(g.with_estimates(x), iterates, anchor, stop)
 
 
 def lm_refine(

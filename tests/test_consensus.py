@@ -5,7 +5,7 @@ import pytest
 
 from dpgo.consensus import AdmmConfig, admm_consensus, information_weighted_mean
 from dpgo.geometry import Pose2, wrap_angle
-from dpgo.graph import EdgeOrigin
+from dpgo.graph import EdgeOrigin, objective
 from dpgo.partition import Partition, merge, partition
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate
 
@@ -117,8 +117,6 @@ def test_information_weighted_consensus_matches_closed_form():
 def test_no_separator_partition_just_solves_locally():
     g = generate(GenSpec(n_robots=1, poses_per_robot=15, seed=0, profile=NOISE_PROFILES["v2"]))
     part = partition(g, 1)
-    from dpgo.graph import objective
-
     res = admm_consensus(part)
     assert res.converged
     assert res.resolved == {}
@@ -176,3 +174,27 @@ def test_unconverged_result_is_the_best_rounds_snapshot():
             diff = (x.x - z.x, x.y - z.y, wrap_angle(x.theta - z.theta))
             spread = max(spread, math.hypot(*diff))
     assert abs(spread - min(res.disagreement)) < 1e-12
+
+
+def test_seeded_run_is_pinned_bit_for_bit():
+    # recorded with a fresh LM system built for every local solve; the penalty doubles after round 51
+    g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2))
+    res = admm_consensus(partition(g, 3), cfg=AdmmConfig(max_iters=55))
+    assert (res.iterations, res.converged) == (55, False)
+    assert objective(merge(res.partition, res.resolved)) == 0.4968966165100138
+    assert res.disagreement == [
+        0.06298276045639407, 0.020008532552475904, 0.007827002771128478, 0.007985180621278754,
+        0.00849875714639032, 0.007252858364651642, 0.005698211735986618, 0.004366579972247833,
+        0.003374568721742646, 0.0026737202198887254, 0.0021762214719486203, 0.0018093491181293611,
+        0.0015265920900040188, 0.0013007099863620736, 0.0011153313825566626, 0.0009600021094725717,
+        0.0008278287724243412, 0.0007142259073223887, 0.0006160711363454645, 0.0005311096832026382,
+        0.0004688750292964541, 0.00044327550163717356, 0.00041904662045382163, 0.00039617065538173336,
+        0.00037463134661424734, 0.00035440548206059746, 0.00033545914911937606, 0.0003177479449167328,
+        0.0003012186889097419, 0.00028581179941714963, 0.00027146367591181523, 0.00025810878828476326,
+        0.00024568133155675865, 0.00023411658205618543, 0.0002233517747548004, 0.0002133267820594752,
+        0.00020398456053977653, 0.0001952713996456288, 0.00018713704571954667, 0.00017953472585781322,
+        0.00017242109898258726, 0.00016575614145689812, 0.00015950303032089553, 0.00015362794993012443,
+        0.00014809992491981061, 0.0001428906423062532, 0.00013797424561310144, 0.00013332715713378432,
+        0.00012892790247050757, 0.00012475693469799834, 0.00012079647162474814, 4.640403573543823e-05,
+        3.163492738098232e-05, 2.8010383205608522e-05, 2.6918976459721405e-05,
+    ]

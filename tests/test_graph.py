@@ -230,6 +230,36 @@ def test_copy_owns_its_poses_and_edge_arrays_are_read_only(rng):
     assert not (g.meas.flags.writeable or g.info.flags.writeable or g.e_from.flags.writeable)
 
 
+
+def test_with_estimates_validates_only_the_new_array(rng):
+    g = rand_graph(rng, n_poses=6)
+    before = {f: getattr(g, f).copy() for f in VERTEX_FIELDS + EDGE_FIELDS}
+    x = np.array([rand_pose(rng).as_vector() for _ in range(6)])
+    x[4, 2] = 3 * math.pi + 0.25
+    h = g.with_estimates(x)
+    assert np.array_equal(h.estimates[:, :2], x[:, :2])
+    assert h.estimates[4, 2] == wrap_angle(x[4, 2]) and abs(h.estimates[4, 2] - (math.pi + 0.25 - 2 * math.pi)) < 1e-12
+    assert np.array_equal(h.estimates[:4, 2], x[:4, 2])
+    x[0, 0] = 99.0  # the array is copied
+    assert h.estimates[0, 0] != 99.0
+    for f in ("vids", "robot", "timestep") + EDGE_FIELDS + ("e_from", "e_to"):
+        assert getattr(h, f) is getattr(g, f) and not getattr(h, f).flags.writeable, f
+    h.estimates[1] = (7.0, 7.0, 0.0)
+    h.truths[2] = math.nan
+    for f, value in before.items():
+        assert np.array_equal(getattr(g, f), value, equal_nan=True), f
+
+    with pytest.raises(GraphError, match=r"estimates must have shape \(6, 3\)"):
+        g.with_estimates(np.zeros((5, 3)))
+    with pytest.raises(GraphError, match=r"estimates must have shape \(6, 3\)"):
+        g.with_estimates(np.zeros(18))
+    x = g.estimates.copy()
+    x[3, 1] = math.inf
+    with pytest.raises(GraphError, match="non-finite estimate .* on vertex 3") as exc:
+        g.with_estimates(x)
+    assert exc.value.position == ("vertex", 3)
+
+
 def test_rejection_names_the_input_row():
     with pytest.raises(GraphError, match="negative timestep on vertex 3") as exc:
         make_graph([vertex(5), vertex(3, timestep=-1)])

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from dpgo.geometry import Pose2, relative, wrap_angle
-from dpgo.graph import EdgeOrigin, GraphError, objective
+from dpgo.graph import EdgeOrigin, GraphError, objective, se2_residuals
 from dpgo import refine
 from dpgo.refine import LMConfig, PriorFactor, SingularNormalEquations, lm_refine, lm_refine_full
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate, inject_outliers
@@ -85,23 +85,23 @@ def test_anchor_vertex_bit_unchanged():
 
 
 def test_jacobians_match_finite_differences(rng):
-    from dpgo.refine import _residuals_jacobians
+    from dpgo.refine import _jacobians
 
     for _ in range(5):
         xp, xq = rand_pose(rng), rand_pose(rng)
         meas = rand_pose(rng)
         x = np.array([xp.as_vector(), xq.as_vector()])
-        e_from, e_to = np.array([0]), np.array([1])
+        e_from = np.array([0])
         m = np.array([meas.as_vector()])
-        r0, a, b = _residuals_jacobians(x, e_from, e_to, m)
+        a, b = _jacobians(x, se2_residuals(x[:1], x[1:], m), e_from, m)
         h = 1e-7
         for side, jac in ((0, a[0]), (1, b[0])):
             for k in range(3):
                 xpert = x.copy()
                 xpert[side, k] += h
-                rp, _, _ = _residuals_jacobians(xpert, e_from, e_to, m)
+                rp = se2_residuals(xpert[:1], xpert[1:], m)
                 xpert[side, k] -= 2 * h
-                rm, _, _ = _residuals_jacobians(xpert, e_from, e_to, m)
+                rm = se2_residuals(xpert[:1], xpert[1:], m)
                 fd = (rp[0] - rm[0]) / (2 * h)
                 assert np.abs(fd - jac[:, k]).max() < 1e-5
 
@@ -114,7 +114,7 @@ def dense_normal_equations_case(rng):
     anchor drops out. The dense Jacobian has no anchor columns and its
     columns are in vertex order.
     """
-    from dpgo.refine import _NormalEquations, _prior_residuals, _residuals_jacobians
+    from dpgo.refine import _NormalEquations, _jacobians, _residuals
 
     n = 5
     x = np.array([rand_pose(rng).as_vector() for _ in range(n)])
@@ -123,10 +123,11 @@ def dense_normal_equations_case(rng):
     meas = np.array([rand_pose(rng, 1.0).as_vector() for _ in e_from])
     p_rows = np.array([2, 2, 4, 0])
     prior = (p_rows, np.array([rand_pose(rng).as_vector() for _ in p_rows]), rng.normal(size=(len(p_rows), 3, 3)))
-    neq = _NormalEquations(np.array([-1, 0, 1, 2, 3]), n - 1, e_from, e_to, prior)
-    h, g = neq.assemble(x, e_from, e_to, meas, prior)
+    neq = _NormalEquations(np.array([-1, 0, 1, 2, 3]), n - 1, e_from, e_to, p_rows)
+    r, rp, _ = _residuals(x, e_from, e_to, meas, prior)
+    h, g = neq.assemble(x, e_from, meas, r, rp, prior[2], np.einsum("pji,pjk->pik", prior[2], prior[2]))
 
-    r, a, b = _residuals_jacobians(x, e_from, e_to, meas)
+    a, b = _jacobians(x, r, e_from, meas)
     jac = np.zeros((3 * (len(e_from) + len(p_rows)), 3 * n))
     for e, (p, q) in enumerate(zip(e_from, e_to)):
         jac[3 * e : 3 * e + 3, 3 * p : 3 * p + 3] += a[e]
@@ -134,7 +135,7 @@ def dense_normal_equations_case(rng):
     for k, v in enumerate(p_rows):
         row = 3 * (len(e_from) + k)
         jac[row : row + 3, 3 * v : 3 * v + 3] = prior[2][k]
-    res = np.concatenate([r.ravel(), _prior_residuals(x, *prior).ravel()])
+    res = np.concatenate([r.ravel(), rp.ravel()])
     return neq, h, g, jac[:, 3:], res
 
 
@@ -165,12 +166,52 @@ def test_block_order_fills_no_more_than_colamd():
 
     g, _ = inject_outliers(generate(GenSpec(n_robots=4, poses_per_robot=60, seed=7)), 0.1, 7)
     n = g.num_vertices
-    prior = (np.zeros(0, dtype=np.intp), np.zeros((0, 3)), np.zeros((0, 3, 3)))
-    neq = _NormalEquations(np.arange(n) - 1, n - 1, g.e_from, g.e_to, prior)  # vertex 0 anchored
-    h, _ = neq.assemble(g.estimates, g.e_from, g.e_to, g.meas, prior)
+    neq = _NormalEquations(np.arange(n) - 1, n - 1, g.e_from, g.e_to, np.zeros(0, dtype=np.intp))  # vertex 0 anchored
+    r = se2_residuals(g.estimates[g.e_from], g.estimates[g.e_to], g.meas)
+    h, _ = neq.assemble(g.estimates, g.e_from, g.meas, r, np.zeros((0, 3)), np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
     ours = neq.factor(h, 1e-4)
     colamd = refine.spla.splu(neq.damped(h, 1e-4))
     assert ours.L.nnz + ours.U.nnz <= colamd.L.nnz + colamd.U.nnz
+
+
+
+def test_one_system_serves_repeated_solves_bit_for_bit(rng):
+    # a consensus block's sequence: new targets each round, one penalty doubling, then another start
+    g = generate(GenSpec(n_robots=2, poses_per_robot=15, seed=3, profile=NOISE_PROFILES["v2"]))
+    anchor, p_vids = int(g.vids[3]), [int(v) for v in g.vids[[0, 5, 9, 5, 3]]]
+    system = refine.LMSystem(g, anchor, p_vids)
+    cfg = LMConfig(max_iters=10)
+    start = g
+    for k, rho in enumerate([5.0, 5.0, 10.0, 10.0]):
+        if k == 3:
+            start = start.with_estimates(start.estimates + rng.normal(scale=0.2, size=start.estimates.shape))
+        targets = start.estimates[start.rows_of(p_vids)] + rng.normal(scale=0.3, size=(len(p_vids), 3))
+        priors = tuple(PriorFactor(v, t, math.sqrt(rho / 2.0) * np.eye(3)) for v, t in zip(p_vids, targets))
+        fresh = lm_refine_full(start, cfg, anchor=anchor, priors=priors)
+        cached = lm_refine_full(start, cfg, anchor=anchor, priors=priors, system=system)
+        assert np.array_equal(cached.graph.estimates, fresh.graph.estimates)
+        assert cached.iterates == fresh.iterates and cached.stop == fresh.stop
+        assert any(it.accepted for it in cached.iterates)
+        start = cached.graph
+
+
+def test_system_built_for_another_solve_is_rejected():
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
+    anchor, p_vids = int(g.vids[2]), [int(g.vids[4]), int(g.vids[7])]
+    priors = tuple(PriorFactor(v, np.zeros(3), np.eye(3)) for v in p_vids)
+    system = refine.LMSystem(g, anchor, p_vids)
+    lm_refine_full(g, anchor=anchor, priors=priors, system=system)
+    mismatched = [
+        (g, {"anchor": int(g.vids[1]), "priors": priors}),
+        (g, {"priors": priors}),  # the default anchor, the lowest id
+        (g, {"anchor": anchor, "priors": priors[:1]}),
+        (g, {"anchor": anchor, "priors": priors[::-1]}),
+        (g.copy(), {"anchor": anchor, "priors": priors}),
+        (generate(GenSpec(n_robots=2, poses_per_robot=10, seed=1)), {"anchor": anchor, "priors": priors}),
+    ]
+    for other, kwargs in mismatched:
+        with pytest.raises(GraphError, match="built for another graph"):
+            lm_refine_full(other, system=system, **kwargs)
 
 
 def test_lm_returns_at_rounding_floor_instead_of_raising(rng):
