@@ -20,7 +20,9 @@ A block's edges, anchor and separator copies stay the same across rounds,
 only the prior targets and weights change, so each block's
 :class:`dpgo.refine.LMSystem` (free rows, elimination order, normal-equation
 pattern and scatter indices) is built once, before the first round, and
-every round's local solve reuses it.
+every round's local solve reuses it. A round hands each block its priors as
+arrays (:class:`dpgo.refine.Priors`): the copies' vertex ids, their rows of
+the (C, 3) targets z[sep] - u and one weight sqrt(rho/2) I for all of them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .geometry import Pose2, wrap_angle
 from .graph import PoseGraph
 from .partition import Partition
-from .refine import LMConfig, LMSystem, PriorFactor, lm_refine_full
+from .refine import LMConfig, LMSystem, Priors, lm_refine_full
 
 _RIDGE = 1e-9
 
@@ -49,8 +51,11 @@ class AdmmConfig:
     rho_max: float = 1e8
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        # written so that NaN fails every comparison
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
+        if not self.tol >= 0:
+            raise ValueError("tol must be non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.local_max_iters < 1:
@@ -59,7 +64,7 @@ class AdmmConfig:
             raise ValueError("stall_window must be at least 1")
         if not 0 < self.stall_factor <= 1:
             raise ValueError("stall_factor must be in (0, 1]")
-        if self.rho_max < self.rho:
+        if not self.rho_max >= self.rho:
             raise ValueError("rho_max must be at least rho")
 
 
@@ -114,36 +119,32 @@ def admm_consensus(p: Partition, cfg: AdmmConfig | None = None) -> AdmmResult:
     # copy table: one row per (separator, holding block), separators in id order
     sep_ids = sorted(part.separators)
     anchors = [_subgraph_anchor(sub, sep_ids) for sub in part.subgraphs]
-    copies = [(vid, b) for vid in sep_ids for b in part.separators[vid]]
+    copy_vid = np.array([vid for vid in sep_ids for _ in part.separators[vid]], dtype=np.int64)
+    copy_block = np.array([b for vid in sep_ids for b in part.separators[vid]], dtype=np.intp)
     copy_sep = np.repeat(np.arange(len(sep_ids)), [len(part.separators[vid]) for vid in sep_ids])
-    block_rows = [
-        np.array([i for i, (_, cb) in enumerate(copies) if cb == b], dtype=np.intp) for b in range(part.n_blocks)
-    ]
+    block_rows = [np.flatnonzero(copy_block == b) for b in range(part.n_blocks)]
     # LM returns each block's graph with its edge arrays shared, so one system serves every round
-    systems = [
-        LMSystem(sub, anchor, [copies[i][0] for i in rows])
-        for sub, anchor, rows in zip(part.subgraphs, anchors, block_rows)
-    ]
-    eye = np.broadcast_to(np.eye(3), (len(copies), 3, 3))
+    systems = [LMSystem(sub, a, copy_vid[rows]) for sub, a, rows in zip(part.subgraphs, anchors, block_rows)]
+    eye = np.broadcast_to(np.eye(3), (len(copy_vid), 3, 3))
 
     def copy_poses() -> np.ndarray:
-        x = np.empty((len(copies), 3))
+        x = np.empty((len(copy_vid), 3))
         for sub, rows, system in zip(part.subgraphs, block_rows, systems):
             x[rows] = sub.estimates[system.rows[1:]]  # the copies' vertex rows; LM keeps a block's rows
         return x
 
     z = information_weighted_mean(copy_poses(), eye, copy_sep)
-    u = np.zeros((len(copies), 3))
+    u = np.zeros((len(copy_vid), 3))
 
     rho = cfg.rho
     history: list[float] = []
     best = None
     converged = False
     for rounds in range(1, cfg.max_iters + 1):
-        sqrt_w = math.sqrt(rho / 2.0) * np.eye(3)
+        sqrt_w = math.sqrt(rho / 2.0) * eye
         targets = _wrap_theta(z[copy_sep] - u)
-        for b, sub in enumerate(part.subgraphs):
-            priors = tuple(PriorFactor(copies[i][0], targets[i], sqrt_w) for i in block_rows[b])
+        for b, (sub, rows) in enumerate(zip(part.subgraphs, block_rows)):
+            priors = Priors(copy_vid[rows], targets[rows], sqrt_w[rows])
             res = lm_refine_full(sub, cfg=local_cfg, anchor=anchors[b], priors=priors, system=systems[b])
             part.subgraphs[b] = res.graph
 

@@ -1,13 +1,17 @@
 """Levenberg-Marquardt refinement of pose-graph estimates.
 
-Minimizes the global objective (the sum of squared residuals of
-:func:`dpgo.graph.se2_residuals`) by damped Gauss-Newton steps
-with analytic Jacobians, solving sparse normal equations by sparse LU. The
-state is the (N, 3) pose array (x, y, theta) of the vertices in sorted id
-order, so each variable block is (x, y, theta) while residual rows are
-(dtheta, dx, dy). One vertex is anchored to remove the gauge freedom.
-Optional prior factors (used by the consensus layer) pull selected vertices
-toward target poses.
+Minimizes the global objective f (the sum of squared residuals of
+:func:`dpgo.graph.se2_residuals`) by damped Gauss-Newton steps with analytic
+Jacobians, solving sparse normal equations by sparse LU. The state is the
+(N, 3) pose array (x, y, theta) of the vertices in sorted id order, so each
+variable block is (x, y, theta) while residual rows are (dtheta, dx, dy). One
+vertex is anchored to remove the gauge freedom. Optional :class:`Priors`, one
+validated struct of arrays (used by the consensus layer), pull selected
+vertices toward target poses.
+
+LM stops when the gradient is below ``gtol``, at ``max_iters`` damped tries,
+at the rounding floor (no finite step lowers f), or after an accepted step
+that lowers f by less than ``ftol`` relative.
 
 What depends only on the graph's edge arrays, the anchor and the vertices
 that carry priors is an :class:`LMSystem`, built once for a solve or, by a
@@ -16,18 +20,13 @@ round), once for all of its solves. It holds the free vertex rows and the
 elimination order: a symmetric minimum-degree order of the block graph of H
 (one node per free vertex, one edge per pair of vertices that share a
 factor), as in square-root SAM (Dellaert and Kaess, IJRR 2006). It also
-holds the CSC sparsity pattern of the normal equations and the scatter
-indices into it, all in that order, and one damped CSC matrix whose values
-each factorization overwrites in place. An iteration fills the pattern's
-values; each damped try adds the damping at the stored diagonal positions
-only and factors in the fixed order. H = JᵀJ (plus prior blocks) is
-positive semidefinite, so H + mu I is positive definite for mu > 0 and
-Gaussian elimination on its diagonal is stable without pivoting; the
-factorization therefore keeps the diagonal pivots and the order. The prior
-blocks SᵀS depend on the prior weights, which the consensus layer changes
-between solves, so each solve computes them. The residuals that decided an
-accepted step are the ones the next iteration assembles from, and the
-output graph shares the input's read-only arrays
+holds the CSC pattern of the normal equations and the scatter indices into
+it, in that order, and one damped CSC matrix whose values each
+factorization overwrites in place. H = JᵀJ (plus prior blocks) is positive
+semidefinite, so H + mu I is positive definite for mu > 0 and elimination
+keeps the diagonal pivots and the order without pivoting. The prior blocks
+SᵀS depend on the weights, which change between solves, so each solve
+computes them. The output graph shares the input's read-only arrays
 (:meth:`dpgo.graph.PoseGraph.with_estimates`), so the same system serves
 the next solve on it.
 """
@@ -42,7 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import wrap_angle
-from .graph import GraphError, PoseGraph, se2_residuals
+from .graph import GraphError, PoseGraph, _column, _ids, _reject, se2_residuals
 
 
 class SingularNormalEquations(GraphError):
@@ -60,10 +59,13 @@ class LMConfig:
     mu_max: float = 1e32
 
     def __post_init__(self):
-        if self.mu0 <= 0 or self.mu_up <= 1 or not 0 < self.mu_down < 1:
+        # written so that NaN fails every comparison
+        if not (self.mu0 > 0 and self.mu_up > 1 and 0 < self.mu_down < 1):
             raise ValueError("invalid damping configuration")
-        if self.mu_max <= self.mu0:
+        if not self.mu_max > self.mu0:
             raise ValueError("mu_max must exceed mu0")
+        if not (self.gtol >= 0 and self.ftol >= 0):
+            raise ValueError("gtol and ftol must be non-negative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
 
@@ -77,13 +79,30 @@ class LMIterate:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class PriorFactor:
-    """Quadratic pull ||sqrt_weight @ (x (-) target)||^2 on one vertex."""
+@dataclass(frozen=True, eq=False)
+class Priors:
+    """Quadratic pulls ||sqrt_weights[k] @ (x (-) targets[k])||^2, x the pose of
+    vertex ``vertices[k]``: ids (P,), target poses (x, y, theta) (P, 3) and
+    square-root weights (P, 3, 3) acting on the pose difference (dx, dy, dtheta).
+    The constructor copies and validates the arrays; a non-finite target or
+    weight is rejected by its vertex, with ``position`` ("prior", k)."""
 
-    vertex: int
-    target: np.ndarray  # pose (x, y, theta)
-    sqrt_weight: np.ndarray  # (3, 3), acting on the pose difference (dx, dy, dtheta)
+    vertices: np.ndarray
+    targets: np.ndarray
+    sqrt_weights: np.ndarray
+
+    def __post_init__(self):
+        vids = _ids(self.vertices, (np.size(self.vertices),), "prior vertex", "prior")
+        n = len(vids)
+        for name, shape in (("targets", (n, 3)), ("sqrt_weights", (n, 3, 3))):
+            arr = _column(getattr(self, name), float, shape, f"prior {name}")
+            bad = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+            _reject(bad, "prior", lambda k: f"prior {name} on vertex {vids[k]} are not finite")
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "vertices", vids)
+
+
+_NO_PRIORS = Priors(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3, 3)))
 
 
 @dataclass
@@ -230,12 +249,11 @@ class LMSystem:
     """
 
     def __init__(self, g: PoseGraph, anchor: int, prior_vertices):
-        p_vids = list(prior_vertices)
-        rows = g.rows_of([anchor, *p_vids])
+        rows = g.rows_of(np.append(anchor, prior_vertices))
         if rows[0] < 0:
             raise GraphError(f"anchor {anchor} is not a vertex of the graph")
         if (rows[1:] < 0).any():
-            raise GraphError(f"PriorFactor.vertex {p_vids[int(np.argmax(rows[1:] < 0))]} is not a vertex of the graph")
+            raise GraphError(f"prior vertex {prior_vertices[int(np.argmax(rows[1:] < 0))]} is not a vertex of the graph")
         self.e_from, self.e_to, self.rows = g.e_from, g.e_to, rows
         free = np.flatnonzero(np.arange(g.num_vertices) != rows[0])
         self.neq = None
@@ -252,7 +270,7 @@ def lm_refine_full(
     cfg: LMConfig | None = None,
     *,
     anchor: int | None = None,
-    priors: tuple = (),
+    priors: Priors = _NO_PRIORS,
     system: LMSystem | None = None,
 ) -> LMResult:
     """Refine the estimates of ``g``; ``anchor`` defaults to the lowest vertex id.
@@ -265,21 +283,11 @@ def lm_refine_full(
     x, e_from, e_to, meas = g.estimates.copy(), g.e_from, g.e_to, g.meas
     if anchor is None:
         anchor = int(g.vids[0])
-    p_vids = [p.vertex for p in priors]
-    if system is None:
-        system = LMSystem(g, anchor, p_vids)
-    elif not (
-        system.e_from is e_from and system.e_to is e_to and np.array_equal(system.rows, g.rows_of([anchor, *p_vids]))
-    ):
+    system = system or LMSystem(g, anchor, priors.vertices)
+    rows = g.rows_of(np.append(anchor, priors.vertices))
+    if not (system.e_from is e_from and system.e_to is e_to and np.array_equal(system.rows, rows)):
         raise GraphError("the LMSystem was built for another graph, anchor or prior vertex set")
-    prior = (
-        system.rows[1:],
-        np.array([p.target for p in priors], dtype=float).reshape(-1, 3),
-        np.array([p.sqrt_weight for p in priors], dtype=float).reshape(-1, 3, 3),
-    )
-    finite = np.isfinite(prior[1]).all(axis=1)
-    if not finite.all():
-        raise GraphError(f"PriorFactor.target on vertex {p_vids[int(np.argmin(finite))]} is not finite")
+    prior = (system.rows[1:], priors.targets, priors.sqrt_weights)
     neq, free = system.neq, system.free
 
     iterates: list[LMIterate] = []
@@ -288,8 +296,7 @@ def lm_refine_full(
     it = 0
     # with nothing free or nothing to fit, the gradient is empty or zero
     stop = None if neq is not None else "gtol"
-    if stop is None:
-        prior_blocks = np.einsum("pji,pjk->pik", prior[2], prior[2])
+    prior_blocks = np.einsum("pji,pjk->pik", prior[2], prior[2])
     while stop is None:
         if it >= cfg.max_iters:
             stop = "max_iters"
@@ -337,10 +344,7 @@ def lm_refine_full(
 
 
 def lm_refine(
-    g: PoseGraph,
-    cfg: LMConfig | None = None,
-    *,
-    anchor: int | None = None,
+    g: PoseGraph, cfg: LMConfig | None = None, *, anchor: int | None = None
 ) -> tuple[PoseGraph, list[LMIterate]]:
     """Refine vertex estimates; returns the new graph and the iteration log."""
     res = lm_refine_full(g, cfg=cfg, anchor=anchor)
@@ -351,6 +355,4 @@ def iteration_log_csv(iterates, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration,objective,damping,step_norm,accepted\n")
         for it in iterates:
-            fh.write(
-                f"{it.iteration},{it.objective!r},{it.damping!r},{it.step_norm!r},{int(it.accepted)}\n"
-            )
+            fh.write(f"{it.iteration},{it.objective!r},{it.damping!r},{it.step_norm!r},{int(it.accepted)}\n")

@@ -45,13 +45,6 @@ class NoiseProfile:
         if min(self.sigma_odom, self.sigma_intraloop, self.sigma_inter) < 0:
             raise InvalidSpec("noise std-devs must be non-negative")
 
-    def sigma_for(self, origin: EdgeOrigin) -> float:
-        if origin == EdgeOrigin.ODOMETRY:
-            return self.sigma_odom
-        if origin == EdgeOrigin.INTRA_LOOP:
-            return self.sigma_intraloop
-        return self.sigma_inter
-
 
 NOISE_PROFILES = {
     "v1": NoiseProfile(0.06, 0.10, 0.14),

@@ -83,8 +83,17 @@ def test_config_rejects_zero_rounds():
         {"stall_factor": 1.5},
         {"stall_factor": float("nan")},
         {"rho": 10.0, "rho_max": 5.0},
+        {"rho": float("nan")},
+        {"rho": float("inf")},
+        {"rho": 0.0},
+        {"tol": float("nan")},
+        {"tol": -1.0},
+        {"rho_max": float("nan")},
     ],
-    ids=["local_max_iters", "stall_window", "stall_factor_zero", "stall_factor_above_one", "stall_factor_nan", "rho_max"],
+    ids=[
+        "local_max_iters", "stall_window", "stall_factor_zero", "stall_factor_above_one", "stall_factor_nan", "rho_max",
+        "rho_nan", "rho_inf", "rho_zero", "tol_nan", "tol_negative", "rho_max_nan",
+    ],
 )
 def test_config_rejects_malformed_field(bad):
     with pytest.raises(ValueError):
@@ -92,7 +101,7 @@ def test_config_rejects_malformed_field(bad):
 
 
 def test_config_accepts_boundary_values():
-    AdmmConfig(local_max_iters=1, stall_window=1, stall_factor=1.0, rho=2.0, rho_max=2.0)
+    AdmmConfig(local_max_iters=1, stall_window=1, stall_factor=1.0, rho=2.0, rho_max=2.0, tol=0.0)
 
 
 def test_identical_duplicates_converge_immediately():

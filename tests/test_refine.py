@@ -7,7 +7,7 @@ import scipy.optimize
 from dpgo.geometry import Pose2, relative, wrap_angle
 from dpgo.graph import EdgeOrigin, GraphError, objective, se2_residuals
 from dpgo import refine
-from dpgo.refine import LMConfig, PriorFactor, SingularNormalEquations, lm_refine, lm_refine_full
+from dpgo.refine import LMConfig, Priors, SingularNormalEquations, lm_refine, lm_refine_full
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate, inject_outliers
 
 from conftest import edge, make_graph, rand_graph, rand_pose, vertex
@@ -186,7 +186,7 @@ def test_one_system_serves_repeated_solves_bit_for_bit(rng):
         if k == 3:
             start = start.with_estimates(start.estimates + rng.normal(scale=0.2, size=start.estimates.shape))
         targets = start.estimates[start.rows_of(p_vids)] + rng.normal(scale=0.3, size=(len(p_vids), 3))
-        priors = tuple(PriorFactor(v, t, math.sqrt(rho / 2.0) * np.eye(3)) for v, t in zip(p_vids, targets))
+        priors = Priors(p_vids, targets, np.broadcast_to(math.sqrt(rho / 2.0) * np.eye(3), (len(p_vids), 3, 3)))
         fresh = lm_refine_full(start, cfg, anchor=anchor, priors=priors)
         cached = lm_refine_full(start, cfg, anchor=anchor, priors=priors, system=system)
         assert np.array_equal(cached.graph.estimates, fresh.graph.estimates)
@@ -198,14 +198,14 @@ def test_one_system_serves_repeated_solves_bit_for_bit(rng):
 def test_system_built_for_another_solve_is_rejected():
     g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
     anchor, p_vids = int(g.vids[2]), [int(g.vids[4]), int(g.vids[7])]
-    priors = tuple(PriorFactor(v, np.zeros(3), np.eye(3)) for v in p_vids)
+    priors = Priors(p_vids, np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
     system = refine.LMSystem(g, anchor, p_vids)
     lm_refine_full(g, anchor=anchor, priors=priors, system=system)
     mismatched = [
         (g, {"anchor": int(g.vids[1]), "priors": priors}),
         (g, {"priors": priors}),  # the default anchor, the lowest id
-        (g, {"anchor": anchor, "priors": priors[:1]}),
-        (g, {"anchor": anchor, "priors": priors[::-1]}),
+        (g, {"anchor": anchor, "priors": Priors(p_vids[:1], np.zeros((1, 3)), np.eye(3)[None])}),
+        (g, {"anchor": anchor, "priors": Priors(p_vids[::-1], priors.targets, priors.sqrt_weights)}),
         (g.copy(), {"anchor": anchor, "priors": priors}),
         (generate(GenSpec(n_robots=2, poses_per_robot=10, seed=1)), {"anchor": anchor, "priors": priors}),
     ]
@@ -238,7 +238,29 @@ def test_lm_raises_when_no_damped_system_is_solvable(monkeypatch):
         lm_refine(three_pose_loop(noise=0.05, seed=1))
 
 
-@pytest.mark.parametrize("bad", [{"max_iters": -1}, {"mu_max": 1e-4}, {"mu0": 1.0, "mu_max": 0.5}], ids=["max_iters", "mu_max_equal", "mu_max_below"])
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"max_iters": -1},
+        {"mu_max": 1e-4},
+        {"mu0": 1.0, "mu_max": 0.5},
+        {"mu_max": NAN},
+        {"mu0": NAN},
+        {"mu_up": NAN},
+        {"mu_down": NAN},
+        {"gtol": -1.0},
+        {"gtol": NAN},
+        {"ftol": -1.0},
+        {"ftol": NAN},
+    ],
+    ids=[
+        "max_iters", "mu_max_equal", "mu_max_below", "mu_max_nan", "mu0_nan", "mu_up_nan", "mu_down_nan",
+        "gtol_negative", "gtol_nan", "ftol_negative", "ftol_nan",
+    ],
+)
 def test_lm_config_rejects_malformed_field(bad):
     with pytest.raises(ValueError):
         LMConfig(**bad)
@@ -266,7 +288,7 @@ def test_prior_factor_pulls_vertex_to_target():
     )
     target = np.array([1.5, 0.4, 0.3])  # (x, y, theta)
     strong = 1e4 * np.eye(3)
-    res = lm_refine_full(g, cfg=LMConfig(max_iters=50), priors=(PriorFactor(1, target, strong),))
+    res = lm_refine_full(g, cfg=LMConfig(max_iters=50), priors=Priors([1], target[None], strong[None]))
     est = res.graph.vertices[1].estimate
     assert abs(est.theta - 0.3) < 1e-3
     assert abs(est.x - 1.5) < 1e-3
@@ -302,11 +324,43 @@ def test_unknown_anchor_is_rejected():
 
 def test_prior_on_unknown_vertex_is_rejected():
     g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
-    with pytest.raises(GraphError, match="PriorFactor.vertex 999"):
-        lm_refine_full(g, priors=(PriorFactor(999, np.zeros(3), np.eye(3)),))
+    with pytest.raises(GraphError, match="prior vertex 999"):
+        lm_refine_full(g, priors=Priors([999], np.zeros((1, 3)), np.eye(3)[None]))
 
 
 def test_non_finite_prior_target_is_rejected():
-    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
-    with pytest.raises(GraphError, match="PriorFactor.target on vertex 3"):
-        lm_refine_full(g, priors=(PriorFactor(3, np.array([0.0, math.nan, 0.0]), np.eye(3)),))
+    with pytest.raises(GraphError, match="prior targets on vertex 3"):
+        Priors([3], [[0.0, math.nan, 0.0]], np.eye(3)[None])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_prior_weight_is_rejected_by_vertex(bad):
+    weights = np.stack([np.eye(3)] * 3)
+    weights[1, 2, 0] = bad
+    with pytest.raises(GraphError, match="prior sqrt_weights on vertex 7 are not finite") as exc:
+        Priors([2, 7, 9], np.zeros((3, 3)), weights)
+    assert exc.value.position == ("prior", 1)
+
+
+@pytest.mark.parametrize(
+    "vertices, targets, sqrt_weights, match",
+    [
+        ([2, 7], np.zeros((2, 2)), np.zeros((2, 3, 3)), r"prior targets must have shape \(2, 3\), got \(2, 2\)"),
+        ([2, 7], np.zeros((1, 3)), np.zeros((2, 3, 3)), r"prior targets must have shape \(2, 3\), got \(1, 3\)"),
+        ([2, 7], np.zeros((2, 3)), np.eye(3), r"prior sqrt_weights must have shape \(2, 3, 3\), got \(3, 3\)"),
+        ([2, 7], np.zeros((2, 3)), np.zeros((2, 3, 2)), r"prior sqrt_weights must have shape \(2, 3, 3\)"),
+        ([[2, 7]], np.zeros((2, 3)), np.zeros((2, 3, 3)), r"prior vertex must have shape \(2,\), got \(1, 2\)"),
+        ([2, 7.5], np.zeros((2, 3)), np.zeros((2, 3, 3)), "prior vertex 7.5 of prior row 1 is not an integer"),
+    ],
+    ids=["targets_width", "targets_rows", "weights_unstacked", "weights_width", "vertices_2d", "vertex_not_integer"],
+)
+def test_misshaped_prior_arrays_are_rejected(vertices, targets, sqrt_weights, match):
+    with pytest.raises(GraphError, match=match):
+        Priors(vertices, targets, sqrt_weights)
+
+
+def test_priors_are_copied_at_construction():
+    targets, weights = np.zeros((1, 3)), np.eye(3)[None].copy()
+    priors = Priors(np.array([4]), targets, weights)
+    targets[0, 0], weights[0, 0, 0] = math.nan, math.inf
+    assert np.isfinite(priors.targets).all() and np.isfinite(priors.sqrt_weights).all()
