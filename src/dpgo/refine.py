@@ -11,24 +11,26 @@ vertices toward target poses.
 
 LM stops when the gradient is below ``gtol``, at ``max_iters`` damped tries,
 at the rounding floor (no finite step lowers f), or after an accepted step
-that lowers f by less than ``ftol`` relative.
+that lowers f by less than ``ftol`` relative. The default ``ftol`` of 1e-10
+stops LM off the rounding floor: at 1e-14, most accepted steps of the
+consensus layer's local solves lowered f by less than 1e-10 and tries were
+accepted or rejected on a few ulp, while inexact local ADMM solves need no
+such precision (Boyd et al. 2011, section 3.4.4). A centralized solve's
+decreases stay far above it.
 
 What depends only on the graph's edge arrays, the anchor and the vertices
 that carry priors is an :class:`LMSystem`, built once for a solve or, by a
 caller that solves one graph repeatedly (a consensus block, once per
-round), once for all of its solves. It holds the free vertex rows and the
-elimination order: a symmetric minimum-degree order of the block graph of H
-(one node per free vertex, one edge per pair of vertices that share a
-factor), as in square-root SAM (Dellaert and Kaess, IJRR 2006). It also
-holds the CSC pattern of the normal equations and the scatter indices into
-it, in that order, and one damped CSC matrix whose values each
-factorization overwrites in place. H = JᵀJ (plus prior blocks) is positive
-semidefinite, so H + mu I is positive definite for mu > 0 and elimination
-keeps the diagonal pivots and the order without pivoting. The prior blocks
-SᵀS depend on the weights, which change between solves, so each solve
-computes them. The output graph shares the input's read-only arrays
-(:meth:`dpgo.graph.PoseGraph.with_estimates`), so the same system serves
-the next solve on it.
+round), once for all of its solves: the free vertex rows, a symmetric
+minimum-degree elimination order of the block graph of H as in square-root
+SAM (Dellaert and Kaess, IJRR 2006), the CSC pattern of the normal
+equations and the scatter indices into it in that order, and one damped
+CSC matrix whose values each factorization overwrites in place. H = JᵀJ
+(plus the prior blocks SᵀS, computed per solve) is positive semidefinite,
+so H + mu I is positive definite for mu > 0 and elimination keeps the
+diagonal pivots and the order. The output graph shares the input's
+read-only arrays (:meth:`dpgo.graph.PoseGraph.with_estimates`), so the
+same system serves the next solve on it.
 """
 
 from __future__ import annotations
@@ -50,12 +52,15 @@ class SingularNormalEquations(GraphError):
 
 @dataclass(frozen=True)
 class LMConfig:
+    """LM settings; ``ftol`` is the relative decrease of f below which an
+    accepted step ends the solve (1e-10, see the module docstring)."""
+
     max_iters: int = 75
     mu0: float = 1e-4
     mu_up: float = 10.0
     mu_down: float = 1.0 / 3.0
     gtol: float = 1e-10
-    ftol: float = 1e-14
+    ftol: float = 1e-10
     mu_max: float = 1e32
 
     def __post_init__(self):
@@ -81,11 +86,10 @@ class LMIterate:
 
 @dataclass(frozen=True, eq=False)
 class Priors:
-    """Quadratic pulls ||sqrt_weights[k] @ (x (-) targets[k])||^2, x the pose of
-    vertex ``vertices[k]``: ids (P,), target poses (x, y, theta) (P, 3) and
-    square-root weights (P, 3, 3) acting on the pose difference (dx, dy, dtheta).
-    The constructor copies and validates the arrays; a non-finite target or
-    weight is rejected by its vertex, with ``position`` ("prior", k)."""
+    """Pulls ||sqrt_weights[k] @ (x (-) targets[k])||^2 on the pose x of vertex
+    ``vertices[k]``: ids (P,), target poses (P, 3) and square-root weights
+    (P, 3, 3) on the pose difference (dx, dy, dtheta), copied and validated
+    here; a non-finite row is rejected by its vertex, ``position`` ("prior", k)."""
 
     vertices: np.ndarray
     targets: np.ndarray

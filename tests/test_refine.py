@@ -8,6 +8,7 @@ from dpgo.geometry import Pose2, relative, wrap_angle
 from dpgo.graph import EdgeOrigin, GraphError, objective, se2_residuals
 from dpgo import refine
 from dpgo.refine import LMConfig, Priors, SingularNormalEquations, lm_refine, lm_refine_full
+from dpgo.partition import partition
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate, inject_outliers
 
 from conftest import edge, make_graph, rand_graph, rand_pose, vertex
@@ -279,6 +280,20 @@ def test_stop_reasons():
     g.vertices[1].estimate = Pose2(1.4, 0.3, 0.5)
     assert lm_refine_full(g, cfg=LMConfig(max_iters=2)).stop == "max_iters"
     assert lm_refine_full(g, cfg=LMConfig(max_iters=200)).stop in ("gtol", "ftol")
+
+
+def test_default_ftol_stops_off_the_rounding_floor():
+    # a consensus block's local solve: its separator copies pulled toward perturbed targets
+    p = partition(generate(GenSpec(n_robots=4, poses_per_robot=60, seed=0)), 4)
+    sub, vids = p.subgraphs[0], sorted(v for v, blocks in p.separators.items() if 0 in blocks)
+    targets = sub.estimates[sub.rows_of(vids)] + np.random.default_rng(0).normal(scale=0.1, size=(len(vids), 3))
+    priors = Priors(vids, targets, np.broadcast_to(math.sqrt(2.5) * np.eye(3), (len(vids), 3, 3)))
+    default = lm_refine_full(sub, priors=priors)
+    floor = lm_refine_full(sub, LMConfig(ftol=1e-14), priors=priors)
+    f_default, f_floor = ([it.objective for it in r.iterates if it.accepted][-1] for r in (default, floor))
+    assert LMConfig().ftol == 1e-10 and default.stop == "ftol"
+    assert len(default.iterates) <= len(floor.iterates)
+    assert abs(f_default - f_floor) <= 1e-10 * f_floor
 
 
 def test_prior_factor_pulls_vertex_to_target():
