@@ -56,11 +56,11 @@ class AdmmConfig:
             raise ValueError("rho must be positive and finite")
         if not self.tol >= 0:
             raise ValueError("tol must be non-negative")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
-        if self.local_max_iters < 1:
+        if not self.local_max_iters >= 1:
             raise ValueError("local_max_iters must be at least 1")
-        if self.stall_window < 1:
+        if not self.stall_window >= 1:
             raise ValueError("stall_window must be at least 1")
         if not 0 < self.stall_factor <= 1:
             raise ValueError("stall_factor must be in (0, 1]")

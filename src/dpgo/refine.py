@@ -71,7 +71,7 @@ class LMConfig:
             raise ValueError("mu_max must exceed mu0")
         if not (self.gtol >= 0 and self.ftol >= 0):
             raise ValueError("gtol and ftol must be non-negative")
-        if self.max_iters < 0:
+        if not self.max_iters >= 0:
             raise ValueError("max_iters must be non-negative")
 
 

@@ -89,10 +89,14 @@ def test_config_rejects_zero_rounds():
         {"tol": float("nan")},
         {"tol": -1.0},
         {"rho_max": float("nan")},
+        {"max_iters": float("nan")},
+        {"local_max_iters": float("nan")},
+        {"stall_window": float("nan")},
     ],
     ids=[
         "local_max_iters", "stall_window", "stall_factor_zero", "stall_factor_above_one", "stall_factor_nan", "rho_max",
-        "rho_nan", "rho_inf", "rho_zero", "tol_nan", "tol_negative", "rho_max_nan",
+        "rho_nan", "rho_inf", "rho_zero", "tol_nan", "tol_negative", "rho_max_nan", "max_iters_nan",
+        "local_max_iters_nan", "stall_window_nan",
     ],
 )
 def test_config_rejects_malformed_field(bad):

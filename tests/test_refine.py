@@ -248,6 +248,7 @@ NAN = float("nan")
         {"max_iters": -1},
         {"mu_max": 1e-4},
         {"mu0": 1.0, "mu_max": 0.5},
+        {"max_iters": NAN},
         {"mu_max": NAN},
         {"mu0": NAN},
         {"mu_up": NAN},
@@ -258,7 +259,7 @@ NAN = float("nan")
         {"ftol": NAN},
     ],
     ids=[
-        "max_iters", "mu_max_equal", "mu_max_below", "mu_max_nan", "mu0_nan", "mu_up_nan", "mu_down_nan",
+        "max_iters", "mu_max_equal", "mu_max_below", "max_iters_nan", "mu_max_nan", "mu0_nan", "mu_up_nan", "mu_down_nan",
         "gtol_negative", "gtol_nan", "ftol_negative", "ftol_nan",
     ],
 )
