@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from dpgo.consensus import AdmmConfig, admm_consensus, information_weighted_mean
-from dpgo.geometry import Pose2, wrap_angle
+from dpgo.consensus import _SOR_MAX_SWEEPS, AdmmConfig, admm_consensus, chordal_start, information_weighted_mean
+from dpgo.geometry import Pose2, compose, relative, wrap_angle
 from dpgo.graph import EdgeOrigin, objective
 from dpgo.partition import Partition, merge, partition
-from dpgo.synth import GenSpec, NOISE_PROFILES, generate
+from dpgo.synth import GenSpec, NOISE_PROFILES, NoiseProfile, generate
 
 from conftest import edge, make_graph, vertex
 
@@ -50,21 +52,28 @@ def test_weighted_mean_groups_match_separate_calls():
         assert np.allclose(got[g], one[0], rtol=0.0, atol=1e-12)
 
 
-def two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1):
-    """Two anchored chains observing one shared vertex with different stiffness."""
+def two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1, cycle=None):
+    """Two anchored chains observing one shared vertex with different stiffness.
+
+    ``cycle`` adds to robot 1's block an edge 1 -> 0 with that x offset, which
+    closes the cycle 0 -> 10 <- 1 -> 0 and makes vertex 0 a separator too.
+    """
     g0 = make_graph(
         [vertex(0, robot=0, estimate=Pose2(0, 0, 0)), vertex(10, robot=0, timestep=2, estimate=Pose2(p0, 0, 0))],
         [edge(0, 10, Pose2(p0, 0, 0), np.eye(3), EdgeOrigin.INTRA_LOOP) for _ in range(n0)],
     )
-    g1 = make_graph(
-        [vertex(1, robot=1, estimate=Pose2(0, 0, 0)), vertex(10, robot=1, timestep=2, estimate=Pose2(p1, 0, 0))],
-        [edge(1, 10, Pose2(p1, 0, 0), np.eye(3), EdgeOrigin.INTRA_LOOP) for _ in range(n1)],
-    )
+    v1 = [vertex(1, robot=1, estimate=Pose2(0, 0, 0)), vertex(10, robot=1, timestep=2, estimate=Pose2(p1, 0, 0))]
+    e1 = [edge(1, 10, Pose2(p1, 0, 0), np.eye(3), EdgeOrigin.INTRA_LOOP) for _ in range(n1)]
+    separators = {10: [0, 1]}
+    if cycle is not None:
+        v1.append(vertex(0, robot=0, estimate=Pose2(0, 0, 0)))
+        e1.append(edge(1, 0, Pose2(cycle, 0, 0), np.eye(3), EdgeOrigin.INTER_LOOP))
+        separators[0] = [0, 1]
     part = Partition(
-        subgraphs=[g0, g1],
+        subgraphs=[g0, make_graph(v1, e1)],
         owner={0: 0, 1: 1, 10: 0},
-        separators={10: [0, 1]},
-        edge_gids=[list(range(n0)), list(range(n0, n0 + n1))],
+        separators=separators,
+        edge_gids=[list(range(n0)), list(range(n0, n0 + len(e1)))],
     )
     return part
 
@@ -117,12 +126,16 @@ def test_identical_duplicates_converge_immediately():
 
 
 def test_information_weighted_consensus_matches_closed_form():
-    # stiffness 4 vs 1 -> fixed point at the 4:1 weighted average
-    part = two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1)
-    res = admm_consensus(part, cfg=AdmmConfig(max_iters=200, tol=1e-8))
+    cfg = AdmmConfig(max_iters=200, tol=1e-8)
+    # a tree: the start holds vertex 0 only and puts vertex 1 at -0.4, where both chains agree on 0.8
+    res = admm_consensus(two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1), cfg=cfg)
     assert res.converged
-    want = (4 * 0.8 + 1 * 1.2) / 5.0
-    assert abs(res.resolved[10].x - want) < 1e-6
+    assert abs(res.resolved[10].x - 0.8) < 1e-6
+    # stiffness 4 vs 1; the cycle edge 1 -> 0 of offset -0.32 puts the optimum at vertex 1 = 0, where
+    # the central optimum of vertex 10 is the 4:1 weighted average
+    res = admm_consensus(two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1, cycle=-0.32), cfg=cfg)
+    assert res.converged
+    assert abs(res.resolved[10].x - (4 * 0.8 + 1 * 1.2) / 5.0) < 1e-6
     assert abs(res.resolved[10].y) < 1e-9
     assert abs(res.resolved[10].theta) < 1e-9
 
@@ -172,12 +185,12 @@ def test_admm_leaves_input_partition_unchanged():
 
 
 def test_unconverged_result_is_the_best_rounds_snapshot():
-    g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2))
+    g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=6))
     part = partition(g, 3)
     res = admm_consensus(part, cfg=AdmmConfig(max_iters=4))
     assert not res.converged
     assert res.iterations == 4
-    # the best round is not the last one, so the snapshot must be taken from an earlier round
+    # the disagreement rises in round 4: the snapshot must be taken from an earlier round
     assert int(np.argmin(res.disagreement)) == 2
     spread = 0.0
     for vid, blocks in res.partition.separators.items():
@@ -190,33 +203,122 @@ def test_unconverged_result_is_the_best_rounds_snapshot():
 
 
 def test_four_blocks_converge_to_the_objective_of_the_floor_stop():
-    # 10.41838243923122 is the merged objective with local LM stopping at ftol 1e-14, on the rounding floor
+    # from the chordal start; 7.044486279755645 is the merged objective at LMConfig's default ftol of 1e-10
     g = generate(GenSpec(n_robots=4, poses_per_robot=60, seed=0))
     res = admm_consensus(partition(g, 4))
-    assert res.converged and res.iterations == 91
-    assert abs(objective(merge(res.partition, res.resolved)) / 10.41838243923122 - 1.0) < 1e-8
+    assert res.converged and res.iterations == 72
+    assert abs(objective(merge(res.partition, res.resolved)) / 7.044486279755645 - 1.0) < 1e-8
 
 
 def test_seeded_run_is_pinned_bit_for_bit():
-    # recorded at LMConfig's default ftol of 1e-10 (CHANGES.md lists the values recorded at 1e-14);
-    # the penalty doubles after round 51
+    # recorded from the chordal start at LMConfig's default ftol of 1e-10 (CHANGES.md lists the values
+    # recorded earlier); the penalty doubles after rounds 41 and 53
     g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2))
     res = admm_consensus(partition(g, 3), cfg=AdmmConfig(max_iters=55))
     assert (res.iterations, res.converged) == (55, False)
-    assert objective(merge(res.partition, res.resolved)) == 0.49689661672554175
+    assert objective(merge(res.partition, res.resolved)) == 0.506250854420046
     assert res.disagreement == [
-        0.06298276036261086, 0.020008542670650505, 0.007827002795938409, 0.007985173871789404,
-        0.008498776588501053, 0.007252849437978857, 0.005698202013237873, 0.004366574078121417,
-        0.0033745661144789457, 0.002673719458959427, 0.002176221610843626, 0.0018093496482287246,
-        0.0015265927681643347, 0.0013007105959231457, 0.0011153276309972425, 0.0009600022828856415,
-        0.0008278294238963352, 0.0007142266981752719, 0.0006160720893951113, 0.000531110747311684,
-        0.00046887513038005555, 0.00044327564866107275, 0.0004190467639643685, 0.00039617073478957895,
-        0.00037463142917937346, 0.0003544055283399193, 0.00033545916362439347, 0.00031774793478634545,
-        0.0003012186598876222, 0.00028581175621884944, 0.00027146362255197823, 0.0002581087228777295,
-        0.00024568127118540544, 0.00023411652121235545, 0.00022335171009184844, 0.0002133267173463274,
-        0.00020398449800155735, 0.00019527134044356942, 0.00018713699047825553, 0.00017953467482364818,
-        0.00017242105041859925, 0.00016575610036733004, 0.00015950299284991654, 0.0001536279157429139,
-        0.00014809989677170093, 0.00014289061669240226, 0.00013797422110600302, 0.00013332713505029146,
-        0.00012892788332400968, 0.00012475691854723937, 0.00012079645833821134, 4.6404042865090294e-05,
-        3.163572788079829e-05, 2.8010394868486556e-05, 2.6918927280119035e-05,
+        0.04597293222030386, 0.016356540038491796, 0.004369073444250189, 0.003913332661224703, 0.003070447518624516,
+        0.0022093077998935127, 0.0015455418592985734, 0.0010896280905030068, 0.0007926717199662871,
+        0.0006016775306816132, 0.00047609538854316623, 0.0003893886637414179, 0.00033726746840578647,
+        0.0003108338766455723, 0.00028680843172314025, 0.00026536492019647986, 0.0002463806122447587,
+        0.000229579480648856, 0.0002146473291074127, 0.00020129552622455868, 0.00018928453694976865,
+        0.00017842446640473715, 0.00016856604957568553, 0.0001595899621228114, 0.0001513979312233931,
+        0.00014390648844924854, 0.00013704299586716793, 0.00013074323983546855, 0.00012494996238451378,
+        0.00011961189882740992, 0.00011468307366493925, 0.00011012223159980678, 0.00010589234978360138,
+        0.00010196020939730278, 9.829601645034327e-05, 9.487306497182199e-05, 9.166743642672706e-05,
+        8.865772972106392e-05, 8.582481699526152e-05, 8.315162145118636e-05, 8.062291442071233e-05,
+        3.164193602376551e-05, 2.12456632975297e-05, 1.8532223312050415e-05, 1.773458167244576e-05,
+        1.7478240453705444e-05, 1.7369223426564775e-05, 1.7283449125297557e-05, 1.718360734673801e-05,
+        1.7061800037881024e-05, 1.691963338542977e-05, 1.6761157819806995e-05, 1.659047846531882e-05,
+        5.540480934013601e-06, 4.230036089923657e-06,
     ]
+
+
+def rotations(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=1), np.stack([s, c], axis=1)], axis=1)
+
+
+def central_chordal(g):
+    """The two chordal stages as one sparse weighted least-squares solve each,
+    vertex row 0 held at its estimate; returns the (N, 3) poses."""
+    n, i, j = g.num_vertices, g.e_from, g.e_to
+
+    def solve(b_mat, sqrt_w, d, held):
+        # rows sqrt_w^T (x_j - B x_i - d) of a (2E, 2N) matrix, then the normal equations without vertex 0
+        k = np.arange(2)
+        blocks = np.concatenate([np.broadcast_to(np.eye(2), b_mat.shape), -b_mat], axis=2)  # (E, 2, 4)
+        vals = sqrt_w.transpose(0, 2, 1) @ blocks
+        rows = np.broadcast_to(2 * np.arange(len(i))[:, None, None] + k[None, :, None], vals.shape)
+        cols = np.concatenate([2 * j[:, None] + k, 2 * i[:, None] + k], axis=1)
+        cols = np.broadcast_to(cols[:, None, :], vals.shape)
+        a = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(2 * len(i), 2 * n))
+        rhs = (sqrt_w.transpose(0, 2, 1) @ d[:, :, None]).ravel() - a[:, :2] @ held
+        a = a[:, 2:].tocsc()
+        x = spla.spsolve((a.T @ a).tocsc(), a.T @ rhs)
+        return np.concatenate([held, x]).reshape(n, 2)
+
+    sqrt_w = np.sqrt(g.info[:, 0, 0])[:, None, None] * np.eye(2)
+    theta0 = g.estimates[0, 2]
+    r = solve(rotations(g.meas[:, 2]), sqrt_w, np.zeros((len(i), 2)), np.array([math.cos(theta0), math.sin(theta0)]))
+    theta = np.arctan2(r[:, 1], r[:, 0])
+    rot = rotations(theta[i])
+    sqrt_w = rot @ np.linalg.cholesky(g.info[:, 1:, 1:])  # (R L)(R L)^T = R Omega_tt R^T
+    d = (rot @ g.meas[:, :2, None])[:, :, 0]
+    t = solve(np.broadcast_to(np.eye(2), rot.shape), sqrt_w, d, g.estimates[0, :2])
+    return np.column_stack([t, theta])
+
+
+def assert_poses_close(got, want, tol):
+    assert np.abs(got[:, :2] - want[:, :2]).max() < tol
+    assert np.abs(wrap_angle(got[:, 2] - want[:, 2])).max() < tol
+
+
+def test_distributed_start_equals_the_central_linear_solve():
+    g = generate(GenSpec(n_robots=4, poses_per_robot=60, seed=0))
+    start = chordal_start(partition(g, 4))
+    assert np.array_equal(start.vids, g.vids)
+    assert_poses_close(start.poses, central_chordal(g), 1e-6)
+
+
+def test_start_recovers_the_truths_of_a_noise_free_graph():
+    g = generate(GenSpec(n_robots=4, poses_per_robot=60, seed=0, profile=NoiseProfile(0.0, 0.0, 0.0)))
+    rng = np.random.default_rng(0)
+    est = g.truths + rng.normal(0.0, 0.3, size=g.truths.shape)
+    est[0] = g.truths[0]  # the held vertex
+    start = chordal_start(partition(g.with_estimates(est), 4))
+    assert_poses_close(start.poses, g.truths, 1e-6)
+
+
+def test_start_stops_on_its_tolerance_well_below_the_sweep_cap():
+    g = generate(GenSpec(n_robots=4, poses_per_robot=60, seed=0))
+    part = partition(g, 4)
+    sweeps = chordal_start(part).sweeps
+    assert all(0 < s < _SOR_MAX_SWEEPS // 5 for s in sweeps), sweeps
+    assert admm_consensus(part, cfg=AdmmConfig(max_iters=1)).start_sweeps == sweeps
+
+
+def test_start_holds_the_lowest_vertex_of_each_component():
+    # two robots that never meet: two blocks, no separator, one component each
+    truths = [Pose2(0, 0, 0), Pose2(1, 0, 0.5), Pose2(1.5, 1, 1.2), Pose2(5, 5, -1), Pose2(6, 4, -0.5), Pose2(7, 4, 0)]
+    held = {0: Pose2(2, -1, 0.3), 3: Pose2(-4, 1, 2.5)}
+
+    def block(r):
+        vids = [3 * r, 3 * r + 1, 3 * r + 2]
+        odometry, loop = EdgeOrigin.ODOMETRY, EdgeOrigin.INTRA_LOOP
+        pairs = [(vids[0], vids[1], odometry), (vids[1], vids[2], odometry), (vids[0], vids[2], loop)]
+        return make_graph(
+            [vertex(v, robot=r, timestep=v - 3 * r, estimate=held.get(v, Pose2(0, 0, 0))) for v in vids],
+            [edge(a, b, relative(truths[a], truths[b]), np.eye(3), origin) for a, b, origin in pairs],
+        )
+
+    part = Partition([block(0), block(1)], {v: v // 3 for v in range(6)}, {}, [[0, 1, 2], [3, 4, 5]])
+    start = chordal_start(part)
+    for first in held:
+        assert start.poses[first].tolist() == held[first].as_vector().tolist()
+        for v in (first + 1, first + 2):
+            want = compose(held[first], relative(truths[first], truths[v]))
+            assert_poses_close(start.poses[[v]], want.as_vector()[None], 1e-6)
+    res = admm_consensus(part)
+    assert res.converged and res.resolved == {}
