@@ -359,6 +359,42 @@ def test_forward_backward_never_builds_per_edge_weight_matrices(rng):
     assert peak < one_weight_tensor, f"peak {peak} B vs one (E, 64, 64) tensor {one_weight_tensor} B"
 
 
+def test_seeded_learn_path_is_pinned_bit_for_bit():
+    # a random-policy episode, then one gated forward and backward on its final blocks;
+    # the graph has edges of all four origins, so the inter-loop logit bias is exercised
+    g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=5))
+    env = PoseGraphEnv(g, 3)
+    policy = np.random.default_rng(7)
+    limit = np.array([env.delta_max_t, env.delta_max_t, env.delta_max_theta])
+    obs, total, done = env.reset(), 0.0, False
+    while not done:
+        actions = [
+            Action(int(policy.choice(np.flatnonzero(o.mask))), policy.uniform(-limit, limit)) if o.mask.any() else None
+            for o in obs
+        ]
+        obs, rewards, done, info = env.step(actions)
+        total += float(rewards.sum())
+    assert (env.t, total, info["l_final"], info["terminal_bonus"]) == (
+        28, -8.456029189350138, 664.5591262796498, -1.348829676258075,
+    )
+
+    batch = make_batch([o.snapshot for o in obs], [o.meas for o in obs])
+    params = init_encoder_params(TINY, np.random.default_rng(3))
+    noise = np.random.default_rng(4).uniform(size=batch.attr.shape[0])
+    _, latent, gates, _ = encoder_forward(params, TINY, batch, gate_noise=noise)
+    ad.add(ad.sum_(latent), l1_gate_penalty(gates, TINY.gate.l1_weight)).backward()
+    assert latent.data.tolist() == [
+        [0.5983375096519143, 0.5703460675970591, 0.522230242714197, 0.45439764129166527, 0.47328443868125514,
+         0.4530699044856513],
+        [0.5939086774252014, 0.5619635234384386, 0.5235161098274655, 0.4554894932816162, 0.4679355079988577,
+         0.446851481800913],
+        [0.6132348781065087, 0.5527923324516321, 0.5327094815854272, 0.45767999194769654, 0.44589227135154696,
+         0.41942259697634393],
+    ]
+    assert (gates.data.shape, int((gates.data == 1.0).sum()), float(gates.data.sum())) == ((59, 1), 40, 56.94075094498398)
+    assert float(np.linalg.norm(params["enc.gate.w1"].grad)) == 0.005978657318808445
+
+
 # -- penalties / pruning --------------------------------------------------------
 
 
