@@ -73,33 +73,28 @@ _SOR_OMEGA = 1.8
 _SOR_TOL = 1e-8  # largest update of a sweep, relative to max(1, |x|max)
 _SOR_MAX_SWEEPS = 1000  # a guard only: the tolerance ends every sweep loop measured so far
 
+_RHO0 = 5.0  # the penalty of the first round
+# the penalty doubles (duals halve) when the disagreement has not fallen below 0.7 of its value
+# 10 rounds earlier: a simpler rule than residual balancing (Boyd et al. 2011, section 3.4.1)
+_STALL_WINDOW = 10
+_STALL_FACTOR = 0.7
+_RHO_MAX = 1e8  # a guard: stalled rounds stop doubling the penalty once it reaches this
+# inexact local solves suffice for ADMM (Boyd et al. 2011, section 3.4.4), and each round's
+# solve starts from the last one's result
+_LOCAL_LM = LMConfig(max_iters=10)
+
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    rho: float = 5.0
     max_iters: int = 100
     tol: float = 1e-6
-    local_max_iters: int = 10
-    stall_window: int = 10
-    stall_factor: float = 0.7
-    rho_max: float = 1e8
 
     def __post_init__(self):
         # written so that NaN fails every comparison
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
         if not self.tol >= 0:
             raise ValueError("tol must be non-negative")
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.local_max_iters >= 1:
-            raise ValueError("local_max_iters must be at least 1")
-        if not self.stall_window >= 1:
-            raise ValueError("stall_window must be at least 1")
-        if not 0 < self.stall_factor <= 1:
-            raise ValueError("stall_factor must be in (0, 1]")
-        if not self.rho_max >= self.rho:
-            raise ValueError("rho_max must be at least rho")
 
 
 @dataclass
@@ -247,7 +242,6 @@ def admm_consensus(p: Partition, cfg: AdmmConfig | None = None) -> AdmmResult:
     cfg = cfg or AdmmConfig()
     # lm_refine_full returns new graphs and nothing mutates them: shallow copies suffice
     part = Partition(list(p.subgraphs), dict(p.owner), dict(p.separators), list(p.edge_gids))
-    local_cfg = LMConfig(max_iters=cfg.local_max_iters)
     start = chordal_start(part)
     part.subgraphs = [sub.with_estimates(start.poses[np.searchsorted(start.vids, sub.vids)]) for sub in part.subgraphs]
 
@@ -272,7 +266,7 @@ def admm_consensus(p: Partition, cfg: AdmmConfig | None = None) -> AdmmResult:
     z = start.poses[np.searchsorted(start.vids, sep_ids)].reshape(-1, 3)
     u = np.zeros((len(copy_vid), 3))
 
-    rho = cfg.rho
+    rho = _RHO0
     history: list[float] = []
     best = None
     converged = False
@@ -281,7 +275,7 @@ def admm_consensus(p: Partition, cfg: AdmmConfig | None = None) -> AdmmResult:
         targets = _wrap_theta(z[copy_sep] - u)
         for b, (sub, rows) in enumerate(zip(part.subgraphs, block_rows)):
             priors = Priors(copy_vid[rows], targets[rows], sqrt_w[rows])
-            res = lm_refine_full(sub, cfg=local_cfg, anchor=anchors[b], priors=priors, system=systems[b])
+            res = lm_refine_full(sub, cfg=_LOCAL_LM, anchor=anchors[b], priors=priors, system=systems[b])
             part.subgraphs[b] = res.graph
 
         x = copy_poses()
@@ -297,9 +291,9 @@ def admm_consensus(p: Partition, cfg: AdmmConfig | None = None) -> AdmmResult:
             converged = True
             break
         if (
-            len(history) > cfg.stall_window
-            and history[-1] > cfg.stall_factor * history[-1 - cfg.stall_window]
-            and rho < cfg.rho_max
+            len(history) > _STALL_WINDOW
+            and history[-1] > _STALL_FACTOR * history[-1 - _STALL_WINDOW]
+            and rho < _RHO_MAX
         ):
             rho *= 2.0
             u *= 0.5

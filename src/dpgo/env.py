@@ -24,24 +24,12 @@ from .geometry import Pose2, compose, se2_exp
 from .graph import GraphError, PoseGraph, se2_residuals
 from .partition import Partition, partition
 
+# keeps the gain's denominator positive and the bonus's log finite when an error is zero
+_EPS = 1e-8
+
 
 class AlreadyProcessedEdge(GraphError):
     pass
-
-
-@dataclass(frozen=True)
-class RewardConfig:
-    epsilon: float = 1e-8
-    clip: float = 1.0
-    bonus_scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not self.clip > 0:
-            raise ValueError(f"clip must be positive, got {self.clip}")
-        if not math.isfinite(self.bonus_scale):
-            raise ValueError(f"bonus_scale must be finite, got {self.bonus_scale}")
 
 
 @dataclass
@@ -66,8 +54,7 @@ class PoseGraphEnv:
         graph: PoseGraph,
         n_robots: int,
         *,
-        reward: RewardConfig | None = None,
-        balance_tol: float = 0.15,
+        bonus_scale: float = 1.0,
         delta_max_t: float = 0.25,
         delta_max_theta: float = 0.15,
         record_trace: bool = False,
@@ -75,15 +62,17 @@ class PoseGraphEnv:
         for name, bound in (("delta_max_t", delta_max_t), ("delta_max_theta", delta_max_theta)):
             if not 0 < bound < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {bound}")
+        if not math.isfinite(bonus_scale):
+            raise ValueError(f"bonus_scale must be finite, got {bonus_scale}")
         self.graph = graph.copy()
         self.n_robots = n_robots
-        self.reward_cfg = reward or RewardConfig()
+        self.bonus_scale = bonus_scale
         self.delta_max_t = delta_max_t
         self.delta_max_theta = delta_max_theta
         self.record_trace = record_trace
         self.reward_free = bool(np.isnan(graph.truths).any())
 
-        self.part: Partition = partition(self.graph, n_robots, balance_tol)
+        self.part: Partition = partition(self.graph, n_robots)
         self.reset()
 
     # -- episode control ------------------------------------------------------
@@ -150,7 +139,6 @@ class PoseGraphEnv:
         # every action is valid: apply them all
         rewards = np.zeros(self.n_robots)
         gains = np.zeros(self.n_robots)
-        eps = self.reward_cfg.epsilon
         for b, action in enumerate(actions):
             if action is None:
                 continue
@@ -164,10 +152,8 @@ class PoseGraphEnv:
                 new_term = float(self._edge_terms(b, [e])[0])
                 self._l[b] = l_prev - self._terms[b][e] + new_term
                 self._terms[b][e] = new_term
-                gains[b] = (l_prev - self._l[b]) / (l_prev + eps)
-                rewards[b] = float(
-                    np.clip(math.tanh(gains[b]), -self.reward_cfg.clip, self.reward_cfg.clip)
-                )
+                gains[b] = (l_prev - self._l[b]) / (l_prev + _EPS)
+                rewards[b] = math.tanh(gains[b])
             if self.record_trace:
                 self.trace.append(
                     {
@@ -186,7 +172,7 @@ class PoseGraphEnv:
         if self.done and not self.reward_free:
             l_final = float(self._l.sum())
             # the floor keeps the log finite when the episode starts at zero error
-            bonus = self.reward_cfg.bonus_scale * math.log(max(self.l0_global, eps) / (l_final + eps))
+            bonus = self.bonus_scale * math.log(max(self.l0_global, _EPS) / (l_final + _EPS))
             rewards += bonus
             info["terminal_bonus"] = bonus
             info["l_final"] = l_final

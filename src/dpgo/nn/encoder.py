@@ -24,6 +24,8 @@ blocks block-diagonally.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,22 +37,24 @@ from .autodiff import Tensor, constant
 
 EDGE_DIM = 11
 NODE_DIM = 8
+# the hard-concrete stretch interval of Louizos et al. (ICLR 2018): stretching the relaxed
+# Bernoulli past [0, 1] before the clip gives exact 0 and 1 gates a nonzero probability
+STRETCH_LO = -0.1
+STRETCH_HI = 1.1
+INTERLOOP_BIAS = 1.0  # logit offset of inter-robot loop closures: their gate odds start e times higher
 
 
 @dataclass(frozen=True)
 class GateConfig:
-    stretch_lo: float = -0.1
-    stretch_hi: float = 1.1
     temperature: float = 1.0
-    interloop_bias: float = 1.0
     l1_weight: float = 1e-3
-    inference_threshold: float = 0.5
 
     def __post_init__(self):
-        if not (self.stretch_lo < 0.0 < 1.0 < self.stretch_hi):
-            raise ValueError("stretch interval must satisfy a < 0 < 1 < b")
-        if self.temperature <= 0:
-            raise ValueError("gate temperature must be positive")
+        # written so that NaN fails every comparison
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"gate temperature must be positive and finite, got {self.temperature}")
+        if not 0 <= self.l1_weight < math.inf:
+            raise ValueError(f"l1_weight must be non-negative and finite, got {self.l1_weight}")
 
 
 @dataclass(frozen=True)
@@ -61,28 +65,34 @@ class EncoderConfig:
     gate_hidden: int = 32
     gate: GateConfig = field(default_factory=GateConfig)
 
+    def __post_init__(self):
+        for name in ("hidden", "n_layers", "edge_hidden", "gate_hidden"):
+            size = getattr(self, name)
+            if not (isinstance(size, numbers.Integral) and size >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {size!r}")
+
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return (NODE_DIM,) + (self.hidden,) * self.n_layers
 
 
-def init_encoder_params(cfg: EncoderConfig, rng, prefix="enc") -> dict[str, Tensor]:
+def init_encoder_params(cfg: EncoderConfig, rng) -> dict[str, Tensor]:
     p = {}
     dims = cfg.layer_dims
     for l in range(cfg.n_layers):
         d_in, d_out = dims[l], dims[l + 1]
-        p[f"{prefix}.ecc{l}.edge_w1"] = ad.parameter(ad.glorot(rng, cfg.edge_hidden, EDGE_DIM))
-        p[f"{prefix}.ecc{l}.edge_b1"] = ad.parameter(np.zeros(cfg.edge_hidden))
-        p[f"{prefix}.ecc{l}.edge_w2"] = ad.parameter(ad.glorot(rng, d_out * d_in, cfg.edge_hidden))
-        p[f"{prefix}.ecc{l}.edge_b2"] = ad.parameter(np.zeros(d_out * d_in))
-        p[f"{prefix}.ecc{l}.self_w"] = ad.parameter(ad.glorot(rng, d_out, d_in + d_out))
-        p[f"{prefix}.ecc{l}.self_b"] = ad.parameter(np.zeros(d_out))
+        p[f"enc.ecc{l}.edge_w1"] = ad.parameter(ad.glorot(rng, cfg.edge_hidden, EDGE_DIM))
+        p[f"enc.ecc{l}.edge_b1"] = ad.parameter(np.zeros(cfg.edge_hidden))
+        p[f"enc.ecc{l}.edge_w2"] = ad.parameter(ad.glorot(rng, d_out * d_in, cfg.edge_hidden))
+        p[f"enc.ecc{l}.edge_b2"] = ad.parameter(np.zeros(d_out * d_in))
+        p[f"enc.ecc{l}.self_w"] = ad.parameter(ad.glorot(rng, d_out, d_in + d_out))
+        p[f"enc.ecc{l}.self_b"] = ad.parameter(np.zeros(d_out))
     gate_in = dims[1] + 6
-    p[f"{prefix}.gate.w1"] = ad.parameter(ad.glorot(rng, cfg.gate_hidden, gate_in))
-    p[f"{prefix}.gate.b1"] = ad.parameter(np.zeros(cfg.gate_hidden))
-    p[f"{prefix}.gate.w2"] = ad.parameter(ad.glorot(rng, 1, cfg.gate_hidden))
+    p["enc.gate.w1"] = ad.parameter(ad.glorot(rng, cfg.gate_hidden, gate_in))
+    p["enc.gate.b1"] = ad.parameter(np.zeros(cfg.gate_hidden))
+    p["enc.gate.w2"] = ad.parameter(ad.glorot(rng, 1, cfg.gate_hidden))
     # start trusting every edge: positive logit bias keeps gates open early on
-    p[f"{prefix}.gate.b2"] = ad.parameter(np.full(1, 2.0))
+    p["enc.gate.b2"] = ad.parameter(np.full(1, 2.0))
     return p
 
 
@@ -143,31 +153,27 @@ def make_batch(graphs, meas_list) -> GraphBatch:
     )
 
 
-def gate_forward(params, gate_cfg: GateConfig, messages, residuals, loginfo, interloop,
-                 noise=None, temperature=None, prefix="enc"):
+def gate_forward(params, gate_cfg: GateConfig, messages, residuals, loginfo, interloop, noise=None):
     """Per-edge gate in [0, 1] from the directed message and consistency cues.
 
     ``noise`` is the uniform sample of the relaxed Bernoulli; ``None`` means
     deterministic evaluation (the median, eps = 0.5). Returns (z, logit).
     """
-    tau = gate_cfg.temperature if temperature is None else temperature
     s = ad.concat([messages, constant(residuals), constant(loginfo)], axis=1)
-    hidden = ad.tanh(ad.linear(s, params[f"{prefix}.gate.w1"], params[f"{prefix}.gate.b1"]))
-    logit = ad.linear(hidden, params[f"{prefix}.gate.w2"], params[f"{prefix}.gate.b2"])
-    logit = ad.add(logit, constant(gate_cfg.interloop_bias * np.asarray(interloop)[:, None]))
+    hidden = ad.tanh(ad.linear(s, params["enc.gate.w1"], params["enc.gate.b1"]))
+    logit = ad.linear(hidden, params["enc.gate.w2"], params["enc.gate.b2"])
+    logit = ad.add(logit, constant(INTERLOOP_BIAS * np.asarray(interloop)[:, None]))
     if noise is None:
         shifted = logit
     else:
         eps = np.clip(np.asarray(noise), 1e-12, 1.0 - 1e-12)[:, None]
         shifted = ad.add(logit, constant(np.log(eps) - np.log1p(-eps)))
-    u = ad.sigmoid(ad.mul(shifted, 1.0 / tau))
-    span = gate_cfg.stretch_hi - gate_cfg.stretch_lo
-    z = ad.clip_straight_through(ad.add(ad.mul(u, span), gate_cfg.stretch_lo), 0.0, 1.0)
+    u = ad.sigmoid(ad.mul(shifted, 1.0 / gate_cfg.temperature))
+    z = ad.clip_straight_through(ad.add(ad.mul(u, STRETCH_HI - STRETCH_LO), STRETCH_LO), 0.0, 1.0)
     return z, logit
 
 
-def encoder_forward(params, cfg: EncoderConfig, batch: GraphBatch, *,
-                    gate_noise=None, gate_temp=None, prefix="enc"):
+def encoder_forward(params, cfg: EncoderConfig, batch: GraphBatch, *, gate_noise=None):
     """Run all layers; returns (node embeddings, graph latents, gates, logits)."""
     h = constant(batch.node_feat)
     attr = constant(batch.attr)
@@ -175,22 +181,20 @@ def encoder_forward(params, cfg: EncoderConfig, batch: GraphBatch, *,
     dims = cfg.layer_dims
     for l in range(cfg.n_layers):
         d_out = dims[l + 1]
-        e_hidden = ad.tanh(
-            ad.linear(attr, params[f"{prefix}.ecc{l}.edge_w1"], params[f"{prefix}.ecc{l}.edge_b1"])
-        )
+        e_hidden = ad.tanh(ad.linear(attr, params[f"enc.ecc{l}.edge_w1"], params[f"enc.ecc{l}.edge_b1"]))
         m = ad.ecc_messages(
             e_hidden, ad.gather_rows(h, batch.edge_to),
-            params[f"{prefix}.ecc{l}.edge_w2"], params[f"{prefix}.ecc{l}.edge_b2"], d_out,
+            params[f"enc.ecc{l}.edge_w2"], params[f"enc.ecc{l}.edge_b2"], d_out,
         )
         if gates is None:  # from the first layer's messages, shared by every layer
             gates, logits = gate_forward(
                 params, cfg.gate, m, batch.res, batch.attr[:, 4:7], batch.attr[:, int(EdgeOrigin.INTER_LOOP)],
-                noise=gate_noise, temperature=gate_temp, prefix=prefix,
+                noise=gate_noise,
             )
         masked = ad.mul(m, gates)
         agg = ad.sparse_matmul(batch.agg, masked)
         h = ad.sigmoid(
-            ad.linear(ad.concat([h, agg], axis=1), params[f"{prefix}.ecc{l}.self_w"], params[f"{prefix}.ecc{l}.self_b"])
+            ad.linear(ad.concat([h, agg], axis=1), params[f"enc.ecc{l}.self_w"], params[f"enc.ecc{l}.self_b"])
         )
     latent = ad.sparse_matmul(batch.pool, h)
     return h, latent, gates, logits
@@ -212,14 +216,14 @@ def prune(g: PoseGraph, gates, threshold: float) -> PoseGraph:
 # -- GRU memory stack ---------------------------------------------------------
 
 
-def init_gru_params(n_layers: int, input_dim: int, hidden_dim: int, rng, prefix="gru") -> dict:
+def init_gru_params(n_layers: int, input_dim: int, hidden_dim: int, rng) -> dict:
     p = {}
     d_in = input_dim
     for k in range(n_layers):
-        p[f"{prefix}{k}.w_ih"] = ad.parameter(ad.glorot(rng, 3 * hidden_dim, d_in))
-        p[f"{prefix}{k}.b_ih"] = ad.parameter(np.zeros(3 * hidden_dim))
-        p[f"{prefix}{k}.w_hh"] = ad.parameter(ad.glorot(rng, 3 * hidden_dim, hidden_dim))
-        p[f"{prefix}{k}.b_hh"] = ad.parameter(np.zeros(3 * hidden_dim))
+        p[f"gru{k}.w_ih"] = ad.parameter(ad.glorot(rng, 3 * hidden_dim, d_in))
+        p[f"gru{k}.b_ih"] = ad.parameter(np.zeros(3 * hidden_dim))
+        p[f"gru{k}.w_hh"] = ad.parameter(ad.glorot(rng, 3 * hidden_dim, hidden_dim))
+        p[f"gru{k}.b_hh"] = ad.parameter(np.zeros(3 * hidden_dim))
         d_in = hidden_dim
     return p
 
@@ -242,7 +246,7 @@ def gru_cell(params, key: str, x, h, hidden_dim: int):
     return ad.add(n, ad.mul(z, ad.sub(h, n)))
 
 
-def memory_update(params, n_layers: int, hidden_dim: int, x, memory, prefix="gru"):
+def memory_update(params, n_layers: int, hidden_dim: int, x, memory):
     """Advance the stacked GRU memory.
 
     ``memory`` is (G, K, hidden) numpy (replayable state). Returns the top
@@ -253,7 +257,7 @@ def memory_update(params, n_layers: int, hidden_dim: int, x, memory, prefix="gru
     new_layers = []
     for k in range(n_layers):
         h = constant(memory[:, k, :])
-        out = gru_cell(params, f"{prefix}{k}", inp, h, hidden_dim)
+        out = gru_cell(params, f"gru{k}", inp, h, hidden_dim)
         new_layers.append(out)
         inp = out
     new_mem = np.stack([t.data for t in new_layers], axis=1)

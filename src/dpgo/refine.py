@@ -9,7 +9,7 @@ vertex is anchored to remove the gauge freedom. Optional :class:`Priors`, one
 validated struct of arrays (used by the consensus layer), pull selected
 vertices toward target poses.
 
-LM stops when the gradient is below ``gtol``, at ``max_iters`` damped tries,
+LM stops when the gradient is below ``_GTOL``, at ``max_iters`` damped tries,
 at the rounding floor (no finite step lowers f), or after an accepted step
 that lowers f by less than ``ftol`` relative. The default ``ftol`` of 1e-10
 stops LM off the rounding floor: at 1e-14, most accepted steps of the
@@ -50,6 +50,15 @@ class SingularNormalEquations(GraphError):
     pass
 
 
+# the damping schedule: Marquardt's (1963) tenfold increase after a rejected step, and a cut
+# to a third after an accepted one, the largest cut of Madsen, Nielsen and Tingleff (2004)
+_MU_UP = 10.0
+_MU_DOWN = 1.0 / 3.0
+# past this damping a step is far below the rounding of the poses, so LM stops raising it
+_MU_MAX = 1e32
+_GTOL = 1e-10  # largest gradient entry at which x counts as stationary
+
+
 @dataclass(frozen=True)
 class LMConfig:
     """LM settings; ``ftol`` is the relative decrease of f below which an
@@ -57,20 +66,14 @@ class LMConfig:
 
     max_iters: int = 75
     mu0: float = 1e-4
-    mu_up: float = 10.0
-    mu_down: float = 1.0 / 3.0
-    gtol: float = 1e-10
     ftol: float = 1e-10
-    mu_max: float = 1e32
 
     def __post_init__(self):
         # written so that NaN fails every comparison
-        if not (self.mu0 > 0 and self.mu_up > 1 and 0 < self.mu_down < 1):
-            raise ValueError("invalid damping configuration")
-        if not self.mu_max > self.mu0:
-            raise ValueError("mu_max must exceed mu0")
-        if not (self.gtol >= 0 and self.ftol >= 0):
-            raise ValueError("gtol and ftol must be non-negative")
+        if not 0 < self.mu0 < _MU_MAX:
+            raise ValueError(f"mu0 must be positive and below {_MU_MAX}")
+        if not self.ftol >= 0:
+            raise ValueError("ftol must be non-negative")
         if not self.max_iters >= 0:
             raise ValueError("max_iters must be non-negative")
 
@@ -113,7 +116,6 @@ _NO_PRIORS = Priors(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 
 class LMResult:
     graph: PoseGraph
     iterates: list[LMIterate]
-    anchor: int
     stop: str  # "gtol", "ftol", "max_iters" or "floor" (no finite step lowers f)
 
 
@@ -306,7 +308,7 @@ def lm_refine_full(
             stop = "max_iters"
             break
         h, grad = neq.assemble(x, e_from, meas, r, rp, prior[2], prior_blocks)
-        if np.abs(grad).max() < cfg.gtol:
+        if np.abs(grad).max() < _GTOL:
             stop = "gtol"
             break
         solved = False  # whether any damped system since the last accepted step had a finite solution
@@ -331,20 +333,20 @@ def lm_refine_full(
                 rel_dec = (f_cur - f_try) / max(f_cur, 1e-300)
                 x, r, rp, f_cur = x_try, r_try, rp_try, f_try
                 iterates.append(LMIterate(it, f_cur, mu, step_norm, True))
-                mu = max(mu * cfg.mu_down, 1e-15)
+                mu = max(mu * _MU_DOWN, 1e-15)
                 if rel_dec < cfg.ftol:
                     stop = "ftol"
                 break
             iterates.append(LMIterate(it, f_cur, mu, step_norm, False))
-            mu *= cfg.mu_up
-            if mu > cfg.mu_max:
+            mu *= _MU_UP
+            if mu > _MU_MAX:
                 if not solved:
                     raise SingularNormalEquations("damping overflow; normal equations unsolvable")
                 # every finite step was too small to lower f: x is at the rounding floor
                 stop = "floor"
                 break
 
-    return LMResult(g.with_estimates(x), iterates, anchor, stop)
+    return LMResult(g.with_estimates(x), iterates, stop)
 
 
 def lm_refine(

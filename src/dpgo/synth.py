@@ -11,6 +11,7 @@ odometry, so they drift.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,8 +43,9 @@ class NoiseProfile:
     sigma_inter: float
 
     def __post_init__(self):
-        if min(self.sigma_odom, self.sigma_intraloop, self.sigma_inter) < 0:
-            raise InvalidSpec("noise std-devs must be non-negative")
+        # written so that NaN fails every comparison
+        if not all(0 <= s < math.inf for s in (self.sigma_odom, self.sigma_intraloop, self.sigma_inter)):
+            raise InvalidSpec(f"noise std-devs must be non-negative and finite, got {self}")
 
 
 NOISE_PROFILES = {
@@ -62,10 +64,12 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_robots < 1:
-            raise InvalidSpec("need at least one robot")
-        if self.poses_per_robot < 2:
-            raise InvalidSpec("need at least two poses per robot")
+        if not isinstance(self.profile, NoiseProfile):
+            raise InvalidSpec(f"profile must be a NoiseProfile, got {self.profile!r}")
+        for name, least in (("n_robots", 1), ("poses_per_robot", 2), ("seed", 0)):
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Integral) and count >= least):
+                raise InvalidSpec(f"{name} must be an integer of at least {least}, got {count!r}")
         if not 0.0 <= self.loop_ratio <= 1.0:
             raise InvalidSpec("loop_ratio must be in [0, 1]")
 

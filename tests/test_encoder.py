@@ -12,6 +12,7 @@ from dpgo.nn.encoder import (
     EDGE_DIM,
     NODE_DIM,
     EncoderConfig,
+    INTERLOOP_BIAS,
     GateConfig,
     edge_attribute_matrix,
     encoder_forward,
@@ -116,9 +117,8 @@ def test_gate_range_random(rng):
     e = 2000
     msg = ad.constant(rng.standard_normal((e, 6)))
     z, _ = gate_forward(
-        params, cfg.gate, msg, rng.standard_normal((e, 3)), rng.standard_normal((e, 3)),
-        rng.integers(0, 2, e).astype(float), noise=rng.uniform(0, 1, e),
-        temperature=float(rng.uniform(0.1, 2.0)),
+        params, GateConfig(temperature=float(rng.uniform(0.1, 2.0))), msg, rng.standard_normal((e, 3)),
+        rng.standard_normal((e, 3)), rng.integers(0, 2, e).astype(float), noise=rng.uniform(0, 1, e),
     )
     assert z.data.min() >= 0.0 and z.data.max() <= 1.0
 
@@ -130,8 +130,8 @@ def test_gate_hard_concrete_limit(rng):
     for alpha in (-5.0, -1.1, 1.1, 5.0):
         params["enc.gate.b2"].data[:] = alpha
         z, _ = gate_forward(
-            params, cfg.gate, ad.constant(np.zeros((1, 6))), np.zeros((1, 3)),
-            np.zeros((1, 3)), np.zeros(1), temperature=1e-3,
+            params, GateConfig(temperature=1e-3), ad.constant(np.zeros((1, 6))), np.zeros((1, 3)),
+            np.zeros((1, 3)), np.zeros(1),
         )
         assert z.data[0, 0] in (0.0, 1.0)
         assert z.data[0, 0] == (1.0 if alpha > 0 else 0.0)
@@ -144,8 +144,8 @@ def test_gate_temperature_limit_with_noise(rng):
     params["enc.gate.b2"].data[:] = 0.8
     eps = np.array([0.05, 0.9])  # logit(eps) = -2.94, +2.20
     z, _ = gate_forward(
-        params, cfg.gate, ad.constant(np.zeros((2, 6))), np.zeros((2, 3)),
-        np.zeros((2, 3)), np.zeros(2), noise=eps, temperature=1e-4,
+        params, GateConfig(temperature=1e-4), ad.constant(np.zeros((2, 6))), np.zeros((2, 3)),
+        np.zeros((2, 3)), np.zeros(2), noise=eps,
     )
     assert z.data[0, 0] == 0.0  # 0.8 + logit(0.05) < 0
     assert z.data[1, 0] == 1.0  # 0.8 + logit(0.9) > 0
@@ -156,14 +156,23 @@ def test_interloop_bias_shifts_logit(rng):
     msg = ad.constant(np.zeros((2, 6)))
     res, li = np.zeros((2, 3)), np.zeros((2, 3))
     _, logit = gate_forward(params, cfg.gate, msg, res, li, np.array([0.0, 1.0]))
-    assert abs((logit.data[1, 0] - logit.data[0, 0]) - cfg.gate.interloop_bias) < 1e-12
+    assert abs((logit.data[1, 0] - logit.data[0, 0]) - INTERLOOP_BIAS) < 1e-12
 
 
 def test_gate_config_validation():
-    with pytest.raises(ValueError):
-        GateConfig(stretch_lo=0.1)
-    with pytest.raises(ValueError):
-        GateConfig(temperature=0.0)
+    # zero would divide by zero, a negative temperature flips every gate and NaN makes every gate NaN
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature"):
+            GateConfig(temperature=bad)
+    for bad in (-1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="l1_weight"):
+            GateConfig(l1_weight=bad)
+    for name in ("hidden", "n_layers", "edge_hidden", "gate_hidden"):
+        for bad in (0, -1, 2.5, 8.0, math.nan):
+            with pytest.raises(ValueError, match=name):
+                EncoderConfig(**{name: bad})
+    GateConfig(temperature=1e-9, l1_weight=0.0)
+    EncoderConfig(hidden=1, n_layers=1, edge_hidden=1, gate_hidden=np.int64(1))
 
 
 # -- forward pass vs naive oracle ----------------------------------------------
@@ -391,7 +400,8 @@ def test_seeded_learn_path_is_pinned_bit_for_bit():
         [0.6132348781065087, 0.5527923324516321, 0.5327094815854272, 0.45767999194769654, 0.44589227135154696,
          0.41942259697634393],
     ]
-    assert (gates.data.shape, int((gates.data == 1.0).sum()), float(gates.data.sum())) == ((59, 1), 40, 56.94075094498398)
+    assert gates.data.shape == (59, 1) and int((gates.data == 1.0).sum()) == 40
+    assert float(gates.data.sum()) == 56.94075094498398
     assert float(np.linalg.norm(params["enc.gate.w1"].grad)) == 0.005978657318808445
 
 

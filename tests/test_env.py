@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpgo.env import Action, AlreadyProcessedEdge, Observation, PoseGraphEnv, RewardConfig
+from dpgo.env import Action, AlreadyProcessedEdge, Observation, PoseGraphEnv
 from dpgo.geometry import Pose2, compose, se2_exp
 from dpgo.graph import EdgeOrigin, GraphError, localization_error
 from dpgo.synth import GenSpec, generate
@@ -49,7 +49,7 @@ def test_reset_three_robots_edge_counts_sum():
 
 
 def test_zero_action_gives_zero_prebonus_reward():
-    env = PoseGraphEnv(two_pose_graph(), 1, reward=RewardConfig(bonus_scale=0.0))
+    env = PoseGraphEnv(two_pose_graph(), 1, bonus_scale=0.0)
     obs = env.reset()
     _, rewards, done, _ = env.step(first_unprocessed_actions(obs))
     assert done
@@ -58,9 +58,7 @@ def test_zero_action_gives_zero_prebonus_reward():
 
 def test_reward_matches_tanh_of_normalized_gain():
     # L goes 1.0 -> 0.5; reward is tanh(0.5 / (1 + eps)) before the bonus
-    env = PoseGraphEnv(
-        two_pose_graph(meas_x=2.0), 1, reward=RewardConfig(bonus_scale=0.0), delta_max_t=2.0
-    )
+    env = PoseGraphEnv(two_pose_graph(meas_x=2.0), 1, bonus_scale=0.0, delta_max_t=2.0)
     obs = env.reset()
     assert abs(env.local_errors()[0] - 1.0) < 1e-12
     delta = np.array([math.sqrt(0.5) - 1.0, 0.0, 0.0])
@@ -99,16 +97,12 @@ def test_terminal_bonus_is_zero_when_the_episode_starts_at_zero_error():
         lambda: PoseGraphEnv(two_pose_graph(), 1, delta_max_t=0.0),
         lambda: PoseGraphEnv(two_pose_graph(), 1, delta_max_theta=math.nan),
         lambda: PoseGraphEnv(two_pose_graph(), 1, delta_max_theta=math.inf),
-        lambda: RewardConfig(clip=0.0),
-        lambda: RewardConfig(clip=-1.0),
-        lambda: RewardConfig(epsilon=math.nan),
-        lambda: RewardConfig(epsilon=math.inf),
-        lambda: RewardConfig(bonus_scale=math.inf),
-        lambda: RewardConfig(bonus_scale=math.nan),
+        lambda: PoseGraphEnv(two_pose_graph(), 1, bonus_scale=math.inf),
+        lambda: PoseGraphEnv(two_pose_graph(), 1, bonus_scale=math.nan),
     ],
     ids=[
         "negative_delta_max_t", "zero_delta_max_t", "nan_delta_max_theta", "inf_delta_max_theta",
-        "zero_clip", "negative_clip", "nan_epsilon", "inf_epsilon", "inf_bonus_scale", "nan_bonus_scale",
+        "inf_bonus_scale", "nan_bonus_scale",
     ],
 )
 def test_malformed_bounds_are_rejected(make):
@@ -117,7 +111,7 @@ def test_malformed_bounds_are_rejected(make):
 
 
 def test_exact_restore_gives_positive_reward():
-    env = PoseGraphEnv(two_pose_graph(meas_x=2.0), 1, delta_max_t=2.0, reward=RewardConfig(bonus_scale=0.0))
+    env = PoseGraphEnv(two_pose_graph(meas_x=2.0), 1, delta_max_t=2.0, bonus_scale=0.0)
     env.reset()
     # measurement composed with delta must equal the truth relative (1, 0, 0)
     _, rewards, _, _ = env.step([Action(0, np.array([-1.0, 0.0, 0.0]))])
@@ -135,7 +129,7 @@ def test_delta_clamping():
 
 
 def test_measurement_update_is_right_composition():
-    env = PoseGraphEnv(two_pose_graph(meas_x=2.0), 1, reward=RewardConfig(bonus_scale=0.0))
+    env = PoseGraphEnv(two_pose_graph(meas_x=2.0), 1, bonus_scale=0.0)
     env.reset()
     delta = np.array([0.1, -0.05, 0.02])
     env.step([Action(0, delta)])
@@ -271,7 +265,7 @@ def test_reward_free_mode_without_truth():
 
 
 def test_current_graph_carries_corrections():
-    env = PoseGraphEnv(two_pose_graph(meas_x=2.0), 1, reward=RewardConfig(bonus_scale=0.0))
+    env = PoseGraphEnv(two_pose_graph(meas_x=2.0), 1, bonus_scale=0.0)
     env.reset()
     env.step([Action(0, np.array([0.1, 0.0, 0.0]))])
     g = env.current_graph()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,21 @@ def test_invalid_specs():
         GenSpec(n_robots=1, poses_per_robot=10, loop_ratio=1.5)
     with pytest.raises(InvalidSpec):
         NoiseProfile(-0.1, 0.1, 0.1)
+    # non-finite std-devs and non-integral counts are rejected here, not later inside generate
+    for sigmas in ((math.nan, 0.1, 0.1), (0.1, math.nan, 0.1), (0.1, 0.1, math.inf)):
+        with pytest.raises(InvalidSpec, match="finite"):
+            NoiseProfile(*sigmas)
+    for counts in ((math.nan, 10), (2.5, 10), (2, math.nan), (2, 10.0)):
+        with pytest.raises(InvalidSpec, match="integer"):
+            GenSpec(*counts)
+    for seed in (math.nan, -1, 1.5):
+        with pytest.raises(InvalidSpec, match="seed"):
+            GenSpec(2, 10, seed=seed)
+    with pytest.raises(InvalidSpec, match="NoiseProfile"):
+        GenSpec(2, 10, profile="v1")
+    with pytest.raises(InvalidSpec):
+        GenSpec(n_robots=1, poses_per_robot=10, loop_ratio=math.nan)
+    assert GenSpec(np.int64(1), np.int64(2), profile=NoiseProfile(0.0, 0.0, 0.0)).n_robots == 1
 
 
 def test_inject_outliers_zero_fraction():
