@@ -10,9 +10,9 @@ from dpgo.graph import Edge, EdgeOrigin, se2_residuals
 from dpgo.nn import autodiff as ad
 from dpgo.nn.encoder import (
     EDGE_DIM,
+    INTERLOOP_BIAS,
     NODE_DIM,
     EncoderConfig,
-    INTERLOOP_BIAS,
     GateConfig,
     edge_attribute_matrix,
     encoder_forward,
@@ -113,7 +113,7 @@ def test_gate_stretch_clip_fixed_points(rng):
 
 
 def test_gate_range_random(rng):
-    params, cfg = rand_gate_params(rng)
+    params, _ = rand_gate_params(rng)
     e = 2000
     msg = ad.constant(rng.standard_normal((e, 6)))
     z, _ = gate_forward(
@@ -124,7 +124,7 @@ def test_gate_range_random(rng):
 
 
 def test_gate_hard_concrete_limit(rng):
-    params, cfg = rand_gate_params(rng)
+    params, _ = rand_gate_params(rng)
     for key in ("enc.gate.w1", "enc.gate.b1", "enc.gate.w2"):
         params[key].data[:] = 0.0
     for alpha in (-5.0, -1.1, 1.1, 5.0):
@@ -138,7 +138,7 @@ def test_gate_hard_concrete_limit(rng):
 
 
 def test_gate_temperature_limit_with_noise(rng):
-    params, cfg = rand_gate_params(rng)
+    params, _ = rand_gate_params(rng)
     for key in ("enc.gate.w1", "enc.gate.b1", "enc.gate.w2"):
         params[key].data[:] = 0.0
     params["enc.gate.b2"].data[:] = 0.8
@@ -400,8 +400,7 @@ def test_seeded_learn_path_is_pinned_bit_for_bit():
         [0.6132348781065087, 0.5527923324516321, 0.5327094815854272, 0.45767999194769654, 0.44589227135154696,
          0.41942259697634393],
     ]
-    assert gates.data.shape == (59, 1) and int((gates.data == 1.0).sum()) == 40
-    assert float(gates.data.sum()) == 56.94075094498398
+    assert (gates.data.shape, int((gates.data == 1.0).sum()), float(gates.data.sum())) == ((59, 1), 40, 56.94075094498398)
     assert float(np.linalg.norm(params["enc.gate.w1"].grad)) == 0.005978657318808445
 
 
