@@ -103,12 +103,3 @@ def se2_exp(twist) -> Pose2:
     a, b = _exp_coeffs(omega)
     return Pose2(a * vx - b * vy, b * vx + a * vy, omega)
 
-
-def se2_log(p: Pose2) -> np.ndarray:
-    """Logarithm map; inverse of :func:`se2_exp`. Returns (dx, dy, dtheta)."""
-    omega = p.theta
-    a, b = _exp_coeffs(omega)
-    det = a * a + b * b
-    vx = (a * p.x + b * p.y) / det
-    vy = (-b * p.x + a * p.y) / det
-    return np.array([vx, vy, omega])

@@ -6,6 +6,13 @@ hand-written backward, row gather and aggregation by a constant sparse
 matrix, elementwise add/sub/mul and sigmoid/tanh/exp/log/abs,
 concatenation, narrowing, sums, a masked log-softmax, and a clip with a
 straight-through backward). Everything runs in float64.
+
+The tape rule: every op computes its output and hands it, with its
+parents and its backward closure, to ``_make``. The output is taped (it
+keeps its parents and its backward) only when some parent is tracked, that
+is, requires grad or is itself taped, and grad is enabled (not inside
+``no_grad``). Otherwise it is a plain tensor and the closure, with any
+work that only a backward needs, is dropped unrun.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.sparse as sp
 
 _GRAD_ENABLED = True
 
@@ -81,6 +87,7 @@ class Tensor:
             if not node.requires_grad:
                 node.grad = None  # free intermediate grads eagerly
 
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -91,12 +98,6 @@ def parameter(data) -> Tensor:
 
 def constant(data) -> Tensor:
     return Tensor(data)
-
-
-def _tracked(*tensors):
-    return _GRAD_ENABLED and any(
-        t.requires_grad or t._parents for t in tensors if isinstance(t, Tensor)
-    )
 
 
 def _unbroadcast(g, shape):
@@ -113,42 +114,37 @@ def _unbroadcast(g, shape):
 
 
 def _make(data, parents, bwd):
-    if not _tracked(*parents):
-        return Tensor(data)
-    return Tensor(data, parents=parents, bwd=bwd)
+    """The op output ``data``, taped with ``parents`` and ``bwd`` if tracked."""
+    if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+        return Tensor(data, parents=parents, bwd=bwd)
+    return Tensor(data)
 
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data + b.data, (a, b), None)
-    if out._parents:
-        def bwd(g):
-            a._accum(_unbroadcast(g, a.data.shape))
-            b._accum(_unbroadcast(g, b.data.shape))
-        out._bwd = bwd
-    return out
+
+    def bwd(g):
+        a._accum(_unbroadcast(g, a.data.shape))
+        b._accum(_unbroadcast(g, b.data.shape))
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data - b.data, (a, b), None)
-    if out._parents:
-        def bwd(g):
-            a._accum(_unbroadcast(g, a.data.shape))
-            b._accum(-_unbroadcast(g, b.data.shape))
-        out._bwd = bwd
-    return out
+
+    def bwd(g):
+        a._accum(_unbroadcast(g, a.data.shape))
+        b._accum(-_unbroadcast(g, b.data.shape))
+    return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data * b.data, (a, b), None)
-    if out._parents:
-        def bwd(g):
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
-        out._bwd = bwd
-    return out
+
+    def bwd(g):
+        a._accum(_unbroadcast(g * b.data, a.data.shape))
+        b._accum(_unbroadcast(g * a.data, b.data.shape))
+    return _make(a.data * b.data, (a, b), bwd)
 
 
 def linear(x, w, bias=None):
@@ -161,16 +157,14 @@ def linear(x, w, bias=None):
         parents = (x, w, bias)
     else:
         parents = (x, w)
-    out = _make(data, parents, None)
-    if out._parents:
-        def bwd(g):
-            x._accum(g @ w.data)
-            gw = g.reshape(-1, g.shape[-1]).T @ x.data.reshape(-1, x.data.shape[-1])
-            w._accum(gw)
-            if bias is not None:
-                bias._accum(g.reshape(-1, g.shape[-1]).sum(axis=0))
-        out._bwd = bwd
-    return out
+
+    def bwd(g):
+        x._accum(g @ w.data)
+        gw = g.reshape(-1, g.shape[-1]).T @ x.data.reshape(-1, x.data.shape[-1])
+        w._accum(gw)
+        if bias is not None:
+            bias._accum(g.reshape(-1, g.shape[-1]).sum(axis=0))
+    return _make(data, parents, bwd)
 
 
 def ecc_messages(z, h_to, w2, b2, d_out):
@@ -193,53 +187,41 @@ def ecc_messages(z, h_to, w2, b2, d_out):
     def outer():
         return (h_to.data[:, :, None] * z.data[:, None, :]).reshape(n_e, d_in * k)
 
-    out = _make(outer() @ w.T + h_to.data @ b.T, (z, h_to, w2, b2), None)
-    if out._parents:
-        def bwd(g):
-            w2._accum((g.T @ outer()).reshape(w2.data.shape))
-            b2._accum((g.T @ h_to.data).reshape(b2.data.shape))
-            go = (g @ w).reshape(n_e, d_in, k)
-            z._accum(np.einsum("eik,ei->ek", go, h_to.data))
-            h_to._accum(np.einsum("eik,ek->ei", go, z.data) + g @ b)
-        out._bwd = bwd
-    return out
+    def bwd(g):
+        w2._accum((g.T @ outer()).reshape(w2.data.shape))
+        b2._accum((g.T @ h_to.data).reshape(b2.data.shape))
+        go = (g @ w).reshape(n_e, d_in, k)
+        z._accum(np.einsum("eik,ei->ek", go, h_to.data))
+        h_to._accum(np.einsum("eik,ek->ei", go, z.data) + g @ b)
+    return _make(outer() @ w.T + h_to.data @ b.T, (z, h_to, w2, b2), bwd)
 
 
 def gather_rows(x, idx):
     """Row gather x[idx]; backward scatter-adds."""
     x = as_tensor(x)
     idx = np.asarray(idx, dtype=np.intp)
-    out = _make(x.data[idx], (x,), None)
-    if out._parents:
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            x._accum(gx)
-        out._bwd = bwd
-    return out
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, idx, g)
+        x._accum(gx)
+    return _make(x.data[idx], (x,), bwd)
 
 
 def sparse_matmul(s, x):
     """s @ x with a constant scipy sparse matrix s; backward uses s.T."""
     x = as_tensor(x)
-    st = s.T.tocsr()
-    out = _make(s @ x.data, (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(st @ g)
-    return out
+    return _make(s @ x.data, (x,), lambda g: x._accum(s.T.tocsr() @ g))
 
 
 def concat(tensors, axis=-1):
     tensors = [as_tensor(t) for t in tensors]
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), None)
-    if out._parents:
-        sizes = [t.data.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-        def bwd(g):
-            for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-                t._accum(piece)
-        out._bwd = bwd
-    return out
+
+    def bwd(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+            t._accum(piece)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
 
 
 def narrow(x, axis, start, length):
@@ -248,28 +230,22 @@ def narrow(x, axis, start, length):
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    out = _make(x.data[sl], (x,), None)
-    if out._parents:
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            gx[sl] = g
-            x._accum(gx)
-        out._bwd = bwd
-    return out
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[sl] = g
+        x._accum(gx)
+    return _make(x.data[sl], (x,), bwd)
 
 
 def sum_(x, axis=None, keepdims=False):
     x = as_tensor(x)
-    out = _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), None)
-    if out._parents:
-        def bwd(g):
-            if axis is None:
-                x._accum(np.broadcast_to(g, x.data.shape))
-            else:
-                ge = g if keepdims else np.expand_dims(g, axis)
-                x._accum(np.broadcast_to(ge, x.data.shape))
-        out._bwd = bwd
-    return out
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accum(np.broadcast_to(g, x.data.shape))
+    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
 
 
 def sigmoid(x):
@@ -279,53 +255,35 @@ def sigmoid(x):
     y[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
     ex = np.exp(x.data[~pos])
     y[~pos] = ex / (1.0 + ex)
-    out = _make(y, (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(g * y * (1.0 - y))
-    return out
+    return _make(y, (x,), lambda g: x._accum(g * y * (1.0 - y)))
 
 
 def tanh(x):
     x = as_tensor(x)
     y = np.tanh(x.data)
-    out = _make(y, (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(g * (1.0 - y * y))
-    return out
+    return _make(y, (x,), lambda g: x._accum(g * (1.0 - y * y)))
 
 
 def exp(x):
     x = as_tensor(x)
     y = np.exp(x.data)
-    out = _make(y, (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(g * y)
-    return out
+    return _make(y, (x,), lambda g: x._accum(g * y))
 
 
 def log(x):
     x = as_tensor(x)
-    out = _make(np.log(x.data), (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(g / x.data)
-    return out
+    return _make(np.log(x.data), (x,), lambda g: x._accum(g / x.data))
 
 
 def abs_(x):
     x = as_tensor(x)
-    out = _make(np.abs(x.data), (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(g * np.sign(x.data))
-    return out
+    return _make(np.abs(x.data), (x,), lambda g: x._accum(g * np.sign(x.data)))
 
 
 def clip_straight_through(x, lo, hi):
     """Forward clip; backward passes the gradient through unchanged."""
     x = as_tensor(x)
-    out = _make(np.clip(x.data, lo, hi), (x,), None)
-    if out._parents:
-        out._bwd = lambda g: x._accum(g)
-    return out
+    return _make(np.clip(x.data, lo, hi), (x,), x._accum)
 
 
 def masked_log_softmax(scores, mask):

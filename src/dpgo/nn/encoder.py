@@ -156,8 +156,9 @@ def make_batch(graphs, meas_list) -> GraphBatch:
 def gate_forward(params, gate_cfg: GateConfig, messages, residuals, loginfo, interloop, noise=None):
     """Per-edge gate in [0, 1] from the directed message and consistency cues.
 
-    ``noise`` is the uniform sample of the relaxed Bernoulli; ``None`` means
-    deterministic evaluation (the median, eps = 0.5). Returns (z, logit).
+    ``noise`` is the uniform sample of the relaxed Bernoulli, one finite
+    value in [0, 1] per edge; ``None`` means deterministic evaluation (the
+    median, eps = 0.5). Returns (z, logit).
     """
     s = ad.concat([messages, constant(residuals), constant(loginfo)], axis=1)
     hidden = ad.tanh(ad.linear(s, params["enc.gate.w1"], params["enc.gate.b1"]))
@@ -166,7 +167,10 @@ def gate_forward(params, gate_cfg: GateConfig, messages, residuals, loginfo, int
     if noise is None:
         shifted = logit
     else:
-        eps = np.clip(np.asarray(noise), 1e-12, 1.0 - 1e-12)[:, None]
+        noise = np.asarray(noise, dtype=np.float64)
+        if noise.shape != logit.shape[:1] or not np.all((noise >= 0.0) & (noise <= 1.0)):
+            raise ValueError(f"gate noise must be {logit.shape[0]} finite values in [0, 1]")
+        eps = np.clip(noise, 1e-12, 1.0 - 1e-12)[:, None]
         shifted = ad.add(logit, constant(np.log(eps) - np.log1p(-eps)))
     u = ad.sigmoid(ad.mul(shifted, 1.0 / gate_cfg.temperature))
     z = ad.clip_straight_through(ad.add(ad.mul(u, STRETCH_HI - STRETCH_LO), STRETCH_LO), 0.0, 1.0)

@@ -17,6 +17,7 @@ endpoint's block and recorded as separators.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,8 +233,8 @@ def balance_cap(num_vertices: int, n: int, balance_tol: float) -> int:
 
 def partition(g: PoseGraph, n: int, balance_tol: float = 0.15) -> Partition:
     """Split g into n blocks; duplicates separator vertices across blocks."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if n > g.num_vertices:
         raise ValueError("more blocks than vertices")
     adj = adjacency(g)

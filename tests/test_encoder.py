@@ -404,6 +404,31 @@ def test_seeded_learn_path_is_pinned_bit_for_bit():
     assert float(np.linalg.norm(params["enc.gate.w1"].grad)) == 0.005978657318808445
 
 
+def test_untaped_forward_matches_taped_and_keeps_no_tape(rng):
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=1))
+    batch = batch_of(g)
+    params = init_encoder_params(TINY, rng)
+    noise = rng.uniform(size=g.num_edges)
+    taped = encoder_forward(params, TINY, batch, gate_noise=noise)
+    with ad.no_grad():
+        untaped = encoder_forward(params, TINY, batch, gate_noise=noise)
+    for t, u in zip(taped, untaped):
+        assert t._parents and t._bwd is not None
+        assert u._parents == () and u._bwd is None
+        assert np.array_equal(t.data, u.data)
+
+
+@pytest.mark.parametrize(
+    "make_noise", [lambda e: np.full(e, np.nan), lambda e: np.full(e, 2.0), lambda e: np.zeros(3)],
+    ids=["nan", "above-one", "short"],
+)
+def test_gate_noise_must_be_one_finite_unit_value_per_edge(rng, make_noise):
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10))
+    params = init_encoder_params(TINY, rng)
+    with pytest.raises(ValueError, match="gate noise"):
+        encoder_forward(params, TINY, batch_of(g), gate_noise=make_noise(g.num_edges))
+
+
 # -- penalties / pruning --------------------------------------------------------
 
 
@@ -462,6 +487,18 @@ def test_memory_gradients_match_fd(rng):
         return ad.sum_(ad.mul(top, probe))
 
     fd_gradcheck(params, loss, rng)
+
+
+def test_untaped_memory_update_matches_taped_and_keeps_no_tape(rng):
+    params = init_gru_params(2, 4, 5, rng)
+    mem = rng.uniform(-0.5, 0.5, (3, 2, 5))
+    x = ad.constant(rng.standard_normal((3, 4)))
+    top, new_mem = memory_update(params, 2, 5, x, mem)
+    with ad.no_grad():
+        top_ng, new_mem_ng = memory_update(params, 2, 5, x, mem)
+    assert top._parents and top._bwd is not None
+    assert top_ng._parents == () and top_ng._bwd is None
+    assert np.array_equal(top.data, top_ng.data) and np.array_equal(new_mem, new_mem_ng)
 
 
 def test_initial_memory_shape():

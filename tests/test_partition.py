@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from dpgo.consensus import information_weighted_mean
+from dpgo.env import PoseGraphEnv
 from dpgo.geometry import Pose2
 from dpgo.graph import EDGE_FIELDS, EdgeOrigin, adjacency, objective
 from dpgo.partition import (
@@ -202,6 +203,15 @@ def test_disconnected_input_raises():
     )
     with pytest.raises(DisconnectedInput):
         partition(g, 2)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", 0, -1])
+def test_block_count_must_be_a_positive_integer(n):
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10))
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        partition(g, n)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        PoseGraphEnv(g, n)
 
 
 def test_merge_roundtrip_identity(rng):
