@@ -372,3 +372,42 @@ def test_priors_are_copied_at_construction():
     priors = Priors(np.array([4]), targets, weights)
     targets[0, 0], weights[0, 0, 0] = math.nan, math.inf
     assert np.isfinite(priors.targets).all() and np.isfinite(priors.sqrt_weights).all()
+
+
+CENTRAL_PINS = {
+    # (objective, damping, accepted) of every try of lm_refine_full at the default LMConfig, and the stop
+    "outlier_free": (
+        [
+            (0.10818785603368863, 0.0001, True),
+            (0.10238977325262012, 3.3333333333333335e-05, True),
+            (0.10238634663477973, 1.1111111111111112e-05, True),
+            (0.1023863453455677, 3.7037037037037037e-06, True),
+            (0.10238634534348308, 1.234567901234568e-06, True),
+        ],
+        "ftol",
+    ),
+    "outliers": (
+        [
+            (0.4058277682882754, 0.0001, True),
+            (0.39401812043831924, 3.3333333333333335e-05, True),
+            (0.3939581109862316, 1.1111111111111112e-05, True),
+            (0.393955988130346, 3.7037037037037037e-06, True),
+            (0.39395590627605753, 1.234567901234568e-06, True),
+            (0.393955903011649, 4.1152263374485594e-07, True),
+            (0.39395590287671656, 1.371742112482853e-07, True),
+            (0.39395590287093074, 4.572473708276176e-08, True),
+        ],
+        "ftol",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENTRAL_PINS))
+def test_seeded_central_run_is_pinned_bit_for_bit(case):
+    g = generate(GenSpec(n_robots=2, poses_per_robot=15, seed=4))
+    if case == "outliers":
+        g, _ = inject_outliers(g, 0.1, 4)
+    res = lm_refine_full(g)
+    iterates, stop = CENTRAL_PINS[case]
+    assert [(it.objective, it.damping, it.accepted) for it in res.iterates] == iterates
+    assert res.stop == stop
