@@ -1,110 +1,102 @@
-"""Consensus over separator poses.
+"""Consensus over separator poses: central Levenberg-Marquardt, solved block by block.
 
-Scaled consensus ADMM (Boyd et al. 2011, section 7.1) over a copy table built
-once: one row per (separator, holding block). The consensus poses z are an
-(S, 3) array, one row per separator, and the scaled duals u a (C, 3) array,
-one row per copy; both are pose arrays (x, y, theta). Each round every robot
-refines its subgraph by LM with quadratic pulls (rho/2 ||x_sep - z + u||^2 in
-local tangent coordinates) on its separator copies, z becomes the plain mean
-of the copies plus their scaled duals, x_b + u_b (angles averaged
-chordally), and the duals integrate the remaining disagreement x_b - z.
-Because z is the mean of x_b + u_b, the duals of each separator sum to zero
-after every update (the angle duals to first order, since angles are
-averaged on the circle), so at a fixed point (x_b = z) the local optimality
-conditions grad f_b = -rho u_b add up to sum_b grad f_b = 0: the result is a
-stationary point of the summed local objectives, and each subgraph's
-information enters through its own objective. The penalty is doubled (duals
-halved) when the disagreement stalls.
+Every edge of a partition is held by exactly one block, so the objective is
+f = sum_b f_b over the blocks' edges, and LM's normal equations split the
+same way: H = sum_b H_b and g = sum_b g_b. A vertex that is no separator has
+all of its edges in its owner's block. With each block's free vertices
+ordered interior (i) first and separators (s) last, eliminating the interior
+of the damped block system leaves a Schur complement and reduced gradient
 
-Before the first round every block, separator copies included, is set to a
-distributed two-stage chordal initialization (:func:`chordal_start`;
-Carlone et al., ICRA 2015), so z starts at consensus and u at zero. It solves
-over the union of the blocks' edges, which holds each edge once because a cut
-edge is held by one block. Rotations first: r_j - Rot(theta_ij) r_i = 0 for
-r = (cos theta, sin theta), weighted by each edge's theta-theta information;
-theta is then the angle of r. Then translations: t_j - t_i = R_i t_ij,
-weighted by R_i Omega_tt R_i^T. Both are least squares over
-x_j - B x_i = d with real 2x2 blocks: each edge gives two rows
+    S_b = H_b,ss + mu I - H_b,si (H_b,ii + mu I)^-1 H_b,is,
+    r_b = g_b,s - H_b,si (H_b,ii + mu I)^-1 g_b,i.
+
+The interiors are disjoint and meet only through separators, so sum_b S_b,
+with the mu that the holders of a shared separator each add counted once,
+is the Schur complement of the central H + mu I on the separators, and
+sum_b r_b its reduced gradient. One dense Cholesky of that system gives the
+separators' part of the central damped step, and each block back-substitutes
+its interior, d_i = -(H_b,ii + mu I)^-1 (g_b,i + H_b,is d_s). A try is
+accepted on sum_b f_b, and the stationarity test reads the interior
+gradients and the summed separator gradient (one block's is a partial sum).
+So distributed LM is central LM try for try, held like it at the global
+lowest vertex id, and each separator has one value throughout: the
+decentralized square-root SAM of DDF-SAM (Cunningham, Paluri and Dellaert,
+IROS 2010), with the blocks as the dissection of nested dissection (George,
+SIAM J. Numer. Anal. 1973). :func:`dpgo.refine.levenberg_marquardt` runs the
+loop as for a central solve; this module supplies the summed objective and
+the step. Each try is one round: each block factors its damped interior in
+place on a pattern built once and sends S_b and r_b, 8 (9 s^2 + 3 s) bytes
+for s separators. ``admm_consensus`` and ``AdmmResult`` keep the names the
+benchmark calls.
+
+Before the first try every vertex is set to a distributed two-stage chordal
+initialization (:func:`chordal_start`; Carlone et al., ICRA 2015). It solves
+over the union of the blocks' edges, which holds each edge once because a
+cut edge is held by one block. Rotations first: r_j - Rot(theta_ij) r_i = 0
+for r = (cos theta, sin theta), weighted by each edge's theta-theta
+information; theta is then the angle of r. Then translations:
+t_j - t_i = R_i t_ij, weighted by R_i Omega_tt R_i^T. Both are least squares
+over x_j - B x_i = d with real 2x2 blocks: each edge gives two rows
 S (x_j - B x_i - d) with S^T S = W, on one sparse pattern, and one solver
-serves both normal equations A^T A x = A^T S d. The gauge
-is the lowest vertex id of each connected component of the union, held at its
-estimate: the vertex central LM anchors by default. The blocks' local
-anchors are not held, since they sit at mutually inconsistent
-dead-reckoning poses (holding them left the 4x60 benchmark graph at 1.48 of
-the central objective). The solve is block successive over-relaxation, the
-scheme of DGS (Choudhary et al., IJRR 2017): each block updates the vertices
-it owns from one factorization of its diagonal block per stage, with the
-other blocks' latest values held. omega = 1.8 needs (81, 77) sweeps
-(rotation, translation) on that graph where Gauss-Seidel (omega = 1) needs
-(259, 321), and more than 1000 at 4x250. A stage stops at the first sweep
-whose largest update is at most 1e-8 of max(1, |x|max), which leaves the
-start within about 1e-7 of the central linear solve at 4x60; the sweep cap
-is a guard only. The earlier start from the blocks' dead-reckoning estimates
-led ADMM to another stationary point (1.49 of central LM at 4x60, 2.32 at
-4x250) and is gone.
-
-A block's edges, anchor and separator copies stay the same across rounds,
-only the prior targets and weights change, so each block's
-:class:`dpgo.refine.LMSystem` (free rows, elimination order, normal-equation
-pattern and scatter indices) is built once, before the first round, and
-every round's local solve reuses it. A round hands each block its priors as
-arrays (:class:`dpgo.refine.Priors`): the copies' vertex ids, their rows of
-the (C, 3) targets z[sep] - u and one weight sqrt(rho/2) I for all of them.
+serves both normal equations A^T A x = A^T S d. The gauge is the lowest
+vertex id of each connected component of the union, held at its estimate:
+the vertex central LM anchors by default. The blocks' local anchors are not
+held, since they sit at mutually inconsistent dead-reckoning poses. The
+solve is block successive over-relaxation, the scheme of DGS (Choudhary et
+al., IJRR 2017): each block updates the vertices it owns from one
+factorization of its diagonal block per stage, with the other blocks'
+latest values held. omega = 1.8 needs (81, 77) sweeps (rotation,
+translation) on the 4x60 benchmark graph where Gauss-Seidel (omega = 1)
+needs (259, 321), and more than 1000 at 4x250. A stage stops at the first
+sweep whose largest update is at most 1e-8 of max(1, |x|max), which leaves
+the start within about 1e-7 of the central linear solve at 4x60; the sweep
+cap is a guard only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from .geometry import Pose2, wrap_angle
-from .graph import PoseGraph
+from .graph import se2_residuals
 from .partition import Partition
-from .refine import LMConfig, LMSystem, Priors, lm_refine_full
+from .refine import LMConfig, LMIterate, _NormalEquations, levenberg_marquardt
+from .refine import lm_refine_full  # noqa: F401  the benchmark's tracer wraps it by name in this module
 
 _RIDGE = 1e-9
 _SOR_OMEGA = 1.8
 _SOR_TOL = 1e-8  # largest update of a sweep, relative to max(1, |x|max)
 _SOR_MAX_SWEEPS = 1000  # a guard only: the tolerance ends every sweep loop measured so far
 
-_RHO0 = 5.0  # the penalty of the first round
-# the penalty doubles (duals halve) when the disagreement has not fallen below 0.7 of its value
-# 10 rounds earlier: a simpler rule than residual balancing (Boyd et al. 2011, section 3.4.1)
-_STALL_WINDOW = 10
-_STALL_FACTOR = 0.7
-_RHO_MAX = 1e8  # a guard: stalled rounds stop doubling the penalty once it reaches this
-# inexact local solves suffice for ADMM (Boyd et al. 2011, section 3.4.4), and each round's
-# solve starts from the last one's result
-_LOCAL_LM = LMConfig(max_iters=10)
-
-
-@dataclass(frozen=True)
-class AdmmConfig:
-    max_iters: int = 100
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        # written so that NaN fails every comparison
-        if not self.tol >= 0:
-            raise ValueError("tol must be non-negative")
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be at least 1")
-
 
 @dataclass
 class AdmmResult:
-    resolved: dict[int, Pose2]
+    resolved: dict[int, Pose2]  # the pose of every separator, the anchor too if it is one
     partition: Partition
-    disagreement: list[float]
-    converged: bool
-    iterations: int
+    iterates: list[LMIterate]  # the LM tries
+    stop: str  # the LM stop reason: "gtol", "ftol", "max_iters" or "floor"
+    message_bytes: int  # the largest message one block sends per try: its S_b and r_b
     start_sweeps: tuple[int, int]  # SOR sweeps of the chordal start: (rotation, translation)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterates)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "max_iters"
+
+    @property
+    def disagreement(self) -> list[float]:
+        """0.0 per try: each separator has one value, so the blocks never disagree."""
+        return [0.0] * len(self.iterates)
 
 
 def information_weighted_mean(poses, infos, groups) -> np.ndarray:
@@ -113,6 +105,9 @@ def information_weighted_mean(poses, infos, groups) -> np.ndarray:
     ``poses`` is (C, 3) ordered (x, y, theta), ``infos`` (C, 3, 3) ordered
     (theta, x, y) and ``groups`` (C,) the group index of each row. Returns
     the (G, 3) means, G = max(groups) + 1; every group needs a row.
+
+    Nothing in the package calls it: it stays only because the benchmark's
+    tracer wraps it by name.
     """
     poses = np.asarray(poses, dtype=float).reshape(-1, 3)
     infos = np.asarray(infos, dtype=float).reshape(-1, 3, 3)
@@ -228,77 +223,94 @@ def chordal_start(p: Partition) -> ChordalStart:
     return ChordalStart(vids, np.column_stack([t, wrap_angle(theta)]), (rot_sweeps, tr_sweeps))
 
 
-def _subgraph_anchor(sub: PoseGraph, sep_ids) -> int:
-    non_sep = sub.vids[~np.isin(sub.vids, sep_ids)]
-    return int(non_sep[0] if len(non_sep) else sub.vids[0])
+class _Blocks:
+    """The blocks' part of distributed LM (see the module docstring): the
+    summed objective and the damped step from their messages, over the
+    (N, 3) pose array of every vertex of a partition with the lowest id held.
+
+    Each block's free vertices are its interior, in minimum-degree order,
+    then its separators in id order. ``free``, the rows of the step, holds
+    every block's interior, block by block, then the separators. A block
+    with no edges fits nothing and takes no part.
+    """
+
+    def __init__(self, p: Partition, vids: np.ndarray):
+        sep = np.array(sorted(p.separators), dtype=np.int64)
+        sep = sep[sep != vids[0]]  # the unknowns of the reduced system
+        self.blocks = []  # per block: subgraph, rows in the pose array, normal equations, reduced columns
+        interiors = []
+        for sub in p.subgraphs:
+            is_sep = np.isin(sub.vids, sep)
+            free = np.concatenate([np.flatnonzero(~is_sep & (sub.vids != vids[0])), np.flatnonzero(is_sep)])
+            if not (len(free) and len(sub.e_from)):
+                continue
+            free_of = np.full(sub.num_vertices, -1, dtype=np.intp)
+            free_of[free] = np.arange(len(free))
+            neq = _NormalEquations(free_of, len(free), sub.e_from, sub.e_to, int(is_sep.sum()))
+            free = free[np.argsort(neq.perm)]
+            inner = neq.n_inner // 3
+            cols = (3 * np.searchsorted(sep, sub.vids[free[inner:]])[:, None] + np.arange(3)).ravel()
+            self.blocks.append((sub, np.searchsorted(vids, sub.vids), neq, cols))
+            interiors.append(np.searchsorted(vids, sub.vids[free[:inner]]))
+        self.free = np.concatenate(interiors + [np.searchsorted(vids, sep)])
+        self.fitted = bool(self.blocks)
+        # every holder's S_b adds mu on a separator's diagonal, and the reduced system keeps one
+        holders = np.bincount(np.concatenate([np.arange(0)] + [c for *_, c in self.blocks]), minlength=3 * len(sep))
+        self.extra = holders - 1.0
+        self.message_bytes = max((8 * len(c) * (len(c) + 1) for *_, c in self.blocks), default=0)
+
+    def evaluate(self, x):
+        """Each block's pose array and edge residuals, and the sum of the block objectives."""
+        states, f = [], 0.0
+        for sub, rows, _, _ in self.blocks:
+            xb = x[rows]
+            r = se2_residuals(xb[sub.e_from], xb[sub.e_to], sub.meas)
+            states.append((xb, r))
+            f += float((r * r).sum())
+        return states, f
+
+    def linearize(self, x, states):
+        """The interior gradients and the summed separator gradient, and the solve mu -> step."""
+        parts, grads = [], []
+        g_sep = np.zeros(len(self.extra))
+        for (sub, _, neq, cols), (xb, r) in zip(self.blocks, states):
+            h, g = neq.assemble(xb, sub.e_from, sub.meas, r)
+            k = neq.n_inner
+            border = neq.borders(h)
+            parts.append((neq, h, g[:k], g[k:], border[:k], border[k:], cols))
+            grads.append(g[:k])
+            g_sep[cols] += g[k:]
+        return np.concatenate(grads + [g_sep]), lambda mu: self._step(parts, mu)
+
+    def _step(self, parts, mu):
+        s = np.diag(-mu * self.extra)
+        rhs = np.zeros(len(self.extra))
+        back = []
+        for neq, h, g_in, g_sep, h_is, h_ss, cols in parts:
+            # the block's message: S_b and r_b, with (H_ii + mu I)^-1 g_i and ^-1 H_is kept for its back-substitution
+            s_b, r_b, y, xs = h_ss + mu * np.eye(len(cols)), g_sep, g_in, h_is
+            if neq.n_inner:
+                lu = neq.factor(h, mu)
+                y, xs = lu.solve(g_in), lu.solve(h_is)
+                s_b -= h_is.T @ xs
+                r_b = g_sep - h_is.T @ y
+            s[np.ix_(cols, cols)] += s_b
+            rhs[cols] += r_b
+            back.append((y, xs, cols))
+        d_sep = scipy.linalg.cho_solve(scipy.linalg.cho_factor(s, check_finite=False), -rhs, check_finite=False)
+        return np.concatenate([-(y + xs @ d_sep[cols]) for y, xs, cols in back] + [d_sep])
 
 
-def _wrap_theta(poses: np.ndarray) -> np.ndarray:
-    poses[:, 2] = wrap_angle(poses[:, 2])
-    return poses
-
-
-def admm_consensus(p: Partition, cfg: AdmmConfig | None = None) -> AdmmResult:
-    cfg = cfg or AdmmConfig()
-    # lm_refine_full returns new graphs and nothing mutates them: shallow copies suffice
+def admm_consensus(p: Partition, cfg: LMConfig | None = None) -> AdmmResult:
+    """Distributed LM over the blocks of ``p`` from :func:`chordal_start`
+    (see the module docstring); ``p`` is left unchanged."""
+    # the result's graphs are new ones: a shallow copy of the partition suffices
     part = Partition(list(p.subgraphs), dict(p.owner), dict(p.separators), list(p.edge_gids))
     start = chordal_start(part)
-    part.subgraphs = [sub.with_estimates(start.poses[np.searchsorted(start.vids, sub.vids)]) for sub in part.subgraphs]
-
-    # copy table: one row per (separator, holding block), separators in id order
+    blocks = _Blocks(part, start.vids)
+    x, iterates, stop = levenberg_marquardt(start.poses, cfg or LMConfig(), blocks)
+    part.subgraphs = [sub.with_estimates(x[np.searchsorted(start.vids, sub.vids)]) for sub in part.subgraphs]
     sep_ids = sorted(part.separators)
-    anchors = [_subgraph_anchor(sub, sep_ids) for sub in part.subgraphs]
-    copy_vid = np.array([vid for vid in sep_ids for _ in part.separators[vid]], dtype=np.int64)
-    copy_block = np.array([b for vid in sep_ids for b in part.separators[vid]], dtype=np.intp)
-    copy_sep = np.repeat(np.arange(len(sep_ids)), [len(part.separators[vid]) for vid in sep_ids])
-    block_rows = [np.flatnonzero(copy_block == b) for b in range(part.n_blocks)]
-    # LM returns each block's graph with its edge arrays shared, so one system serves every round
-    systems = [LMSystem(sub, a, copy_vid[rows]) for sub, a, rows in zip(part.subgraphs, anchors, block_rows)]
-    eye = np.broadcast_to(np.eye(3), (len(copy_vid), 3, 3))
-
-    def copy_poses() -> np.ndarray:
-        x = np.empty((len(copy_vid), 3))
-        for sub, rows, system in zip(part.subgraphs, block_rows, systems):
-            x[rows] = sub.estimates[system.rows[1:]]  # the copies' vertex rows; LM keeps a block's rows
-        return x
-
-    # every copy starts at the chordal pose: z at consensus, no dual
-    z = start.poses[np.searchsorted(start.vids, sep_ids)].reshape(-1, 3)
-    u = np.zeros((len(copy_vid), 3))
-
-    rho = _RHO0
-    history: list[float] = []
-    best = None
-    converged = False
-    for rounds in range(1, cfg.max_iters + 1):
-        sqrt_w = math.sqrt(rho / 2.0) * eye
-        targets = _wrap_theta(z[copy_sep] - u)
-        for b, (sub, rows) in enumerate(zip(part.subgraphs, block_rows)):
-            priors = Priors(copy_vid[rows], targets[rows], sqrt_w[rows])
-            res = lm_refine_full(sub, cfg=_LOCAL_LM, anchor=anchors[b], priors=priors, system=systems[b])
-            part.subgraphs[b] = res.graph
-
-        x = copy_poses()
-        z = information_weighted_mean(_wrap_theta(x + u), eye, copy_sep)
-        diff = _wrap_theta(x - z[copy_sep])
-        u += diff
-        disagreement = float(np.linalg.norm(diff, axis=1).max(initial=0.0))
-        history.append(disagreement)
-        if best is None or disagreement < best[0]:
-            # z is rebound and the graphs are replaced each round, never mutated
-            best = (disagreement, z, list(part.subgraphs))
-        if disagreement < cfg.tol:
-            converged = True
-            break
-        if (
-            len(history) > _STALL_WINDOW
-            and history[-1] > _STALL_FACTOR * history[-1 - _STALL_WINDOW]
-            and rho < _RHO_MAX
-        ):
-            rho *= 2.0
-            u *= 0.5
-
-    if not converged:
-        _, z, part.subgraphs = best
-    resolved = {vid: Pose2(*pose) for vid, pose in zip(sep_ids, z.tolist())}
-    return AdmmResult(resolved, part, history, converged, rounds, start.sweeps)
+    poses = x[np.searchsorted(start.vids, np.array(sep_ids, dtype=np.int64))].tolist()
+    resolved = {vid: Pose2(*pose) for vid, pose in zip(sep_ids, poses)}
+    return AdmmResult(resolved, part, iterates, stop, blocks.message_bytes, start.sweeps)

@@ -5,32 +5,30 @@ Minimizes the global objective f (the sum of squared residuals of
 Jacobians, solving sparse normal equations by sparse LU. The state is the
 (N, 3) pose array (x, y, theta) of the vertices in sorted id order, so each
 variable block is (x, y, theta) while residual rows are (dtheta, dx, dy). One
-vertex is anchored to remove the gauge freedom. Optional :class:`Priors`, one
-validated struct of arrays (used by the consensus layer), pull selected
-vertices toward target poses.
+vertex is anchored to remove the gauge freedom.
 
-LM stops when the gradient is below ``_GTOL``, at ``max_iters`` damped tries,
-at the rounding floor (no finite step lowers f), or after an accepted step
-that lowers f by less than ``ftol`` relative. The default ``ftol`` of 1e-10
-stops LM off the rounding floor: at 1e-14, most accepted steps of the
-consensus layer's local solves lowered f by less than 1e-10 and tries were
-accepted or rejected on a few ulp, while inexact local ADMM solves need no
-such precision (Boyd et al. 2011, section 3.4.4). A centralized solve's
-decreases stay far above it.
+One loop, :func:`levenberg_marquardt`, serves the central solve here and the
+distributed one of :mod:`dpgo.consensus`: it owns the damping schedule and
+the stops, and a system object supplies the objective and the damped linear
+solve. LM stops when the gradient is below ``_GTOL``, at ``max_iters`` damped
+tries, at the rounding floor (no finite step lowers f), or after an accepted
+step that lowers f by less than ``ftol`` relative. Near the optimum LM
+converges fast, so later tries gain less still: from the seeded graphs of the
+tests, an ``ftol`` of 1e-14 takes two or three more tries and ends within
+1e-12 relative of the objective of the default ``ftol``, 1e-10.
 
-What depends only on the graph's edge arrays, the anchor and the vertices
-that carry priors is an :class:`LMSystem`, built once for a solve or, by a
-caller that solves one graph repeatedly (a consensus block, once per
-round), once for all of its solves: the free vertex rows, a symmetric
-minimum-degree elimination order of the block graph of H as in square-root
-SAM (Dellaert and Kaess, IJRR 2006), the CSC pattern of the normal
-equations and the scatter indices into it in that order, and one damped
-CSC matrix whose values each factorization overwrites in place. H = JᵀJ
-(plus the prior blocks SᵀS, computed per solve) is positive semidefinite,
-so H + mu I is positive definite for mu > 0 and elimination keeps the
-diagonal pivots and the order. The output graph shares the input's
-read-only arrays (:meth:`dpgo.graph.PoseGraph.with_estimates`), so the
-same system serves the next solve on it.
+What depends only on the graph's edge arrays and the anchor is an
+:class:`LMSystem`, built once for a solve or, by a caller that solves one
+graph repeatedly, once for all of its solves: the free vertex rows, a
+symmetric minimum-degree elimination order of the block graph of H as in
+square-root SAM (Dellaert and Kaess, IJRR 2006), the CSC pattern of the
+normal equations and the scatter indices into it in that order, and one
+damped CSC matrix whose values each factorization overwrites in place.
+H = JᵀJ is positive semidefinite, so H + mu I is positive definite for
+mu > 0 and elimination keeps the diagonal pivots and the order. The output
+graph shares the input's read-only arrays
+(:meth:`dpgo.graph.PoseGraph.with_estimates`), so the same system serves the
+next solve on it.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import wrap_angle
-from .graph import GraphError, PoseGraph, _column, _ids, _reject, se2_residuals
+from .graph import GraphError, PoseGraph, se2_residuals
 
 
 class SingularNormalEquations(GraphError):
@@ -87,31 +85,6 @@ class LMIterate:
     accepted: bool
 
 
-@dataclass(frozen=True, eq=False)
-class Priors:
-    """Pulls ||sqrt_weights[k] @ (x (-) targets[k])||^2 on the pose x of vertex
-    ``vertices[k]``: ids (P,), target poses (P, 3) and square-root weights
-    (P, 3, 3) on the pose difference (dx, dy, dtheta), copied and validated
-    here; a non-finite row is rejected by its vertex, ``position`` ("prior", k)."""
-
-    vertices: np.ndarray
-    targets: np.ndarray
-    sqrt_weights: np.ndarray
-
-    def __post_init__(self):
-        vids = _ids(self.vertices, (np.size(self.vertices),), "prior vertex", "prior")
-        n = len(vids)
-        for name, shape in (("targets", (n, 3)), ("sqrt_weights", (n, 3, 3))):
-            arr = _column(getattr(self, name), float, shape, f"prior {name}")
-            bad = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
-            _reject(bad, "prior", lambda k: f"prior {name} on vertex {vids[k]} are not finite")
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "vertices", vids)
-
-
-_NO_PRIORS = Priors(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3, 3)))
-
-
 @dataclass
 class LMResult:
     graph: PoseGraph
@@ -136,45 +109,33 @@ def _jacobians(x, r, e_from, meas):
     return a, b
 
 
-def _prior_residuals(x, rows, targets, sqrt_w):
-    """Weighted prior residuals (P, 3): sqrt_weight @ (x (-) target)."""
-    d = x[rows] - targets
-    d[:, 2] = wrap_angle(d[:, 2])
-    return np.einsum("pij,pj->pi", sqrt_w, d)
-
-
-def _residuals(x, e_from, e_to, meas, prior):
-    """Edge residuals (E, 3), weighted prior residuals (P, 3) and the objective at ``x``."""
-    r = se2_residuals(x[e_from], x[e_to], meas)
-    rp = _prior_residuals(x, *prior)
-    return r, rp, float((r * r).sum()) + float((rp * rp).sum())
-
-
 class _NormalEquations:
     """Normal equations ``H d = -g`` of the free variables of a graph.
 
-    The elimination order is chosen once, here: a symmetric minimum-degree
-    order of the block graph of H (one node per free vertex), and free vertex
-    k becomes block ``perm[k]``. The CSC pattern of H (int32 indices, with an
-    explicit diagonal entry for every free variable), the scatter indices of
-    the Jacobian-product and prior blocks into H's ``data`` and of their
-    gradient terms into g, and the positions of H's diagonal are built once,
-    all in that order, so H, g and the step need no permutation later.
-    Duplicates (parallel edges, several priors on one vertex) are summed by
-    ``np.bincount``; terms on the anchor go to one trailing bin that is
-    dropped. ``factor`` refills the values of one stored CSC matrix.
+    The elimination order is chosen once, here. The last ``n_last`` free
+    vertices (a consensus block's separators) stay last, in their order; the
+    others, the interior (every free vertex of a central solve), take a
+    symmetric minimum-degree order of their block graph of H (one node per
+    free vertex). Free vertex k becomes block ``perm[k]``. The CSC pattern of
+    H (int32 indices, with an explicit diagonal entry for every free
+    variable) and the scatter indices of the Jacobian-product blocks into H's
+    ``data`` and of their gradient terms into g are built once, in that
+    order, so H, g and the step need no permutation later. Parallel edges are
+    summed by ``np.bincount``; terms on the anchor go to one trailing bin
+    that is dropped. ``factor`` refills the values of one stored CSC matrix
+    of the interior, the leading ``n_inner`` variables; ``borders`` reads
+    the separator columns.
     """
 
-    def __init__(self, free_of, n_free, e_from, e_to, p_rows):
+    def __init__(self, free_of, n_free, e_from, e_to, n_last=0):
         ends = free_of[np.stack([e_from, e_to], axis=1)]  # (E, 2): free index of source, target
-        fprior = free_of[p_rows]
         k = np.arange(3)
         free = np.arange(n_free)
-        # block row and column of every 3x3 term: per edge the 2x2 blocks of [A B]^T [A B],
-        # then per prior (v, v); the trailing diagonal blocks only put the diagonal into the pattern
+        # block row and column of every 3x3 term: per edge the 2x2 blocks of [A B]^T [A B];
+        # the trailing diagonal blocks only put the diagonal into the pattern
         n_edge = 4 * len(e_from)
-        bi = np.concatenate([np.repeat(ends, 2, axis=1).ravel(), fprior, free])
-        bj = np.concatenate([np.tile(ends, 2).ravel(), fprior, free])
+        bi = np.concatenate([np.repeat(ends, 2, axis=1).ravel(), free])
+        bj = np.concatenate([np.tile(ends, 2).ravel(), free])
         live = (bi >= 0) & (bj >= 0)
         blocks, which = np.unique(bj[live] * n_free + bi[live], return_inverse=True)
         col, row = np.divmod(blocks, n_free)
@@ -182,9 +143,12 @@ class _NormalEquations:
         first = np.concatenate([[0], np.cumsum(per_col)])
         # the block graph, strictly diagonally dominant so that it factors without pivoting
         graph = sp.csc_matrix((np.where(col == row, per_col[col], -1.0), row, first), shape=(n_free, n_free))
-        self.perm = spla.splu(
-            graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        ).perm_c.astype(np.intp)
+        m = n_free - n_last
+        self.perm = np.arange(n_free)
+        if m:
+            self.perm[:m] = spla.splu(
+                graph[:m, :m], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            ).perm_c
         col, row = self.perm[col], self.perm[row]
         order = np.argsort(col * n_free + row)
         col, row, which = col[order], row[order], np.argsort(order)[which]
@@ -197,117 +161,117 @@ class _NormalEquations:
             + 3 * (np.arange(len(blocks)) - first[col])[:, None, None]
             + k[None, :, None]
         )
-        self.n = 3 * n_free
+        self.n, self.n_inner = 3 * n_free, 3 * m
         self.nnz = 9 * len(blocks)
         self.indptr = np.append(9 * first[:-1, None] + 3 * per_col[:, None] * k, self.nnz).astype(np.int32)
         self.indices = np.empty(self.nnz, dtype=np.int32)
         self.indices[pos.ravel()] = np.broadcast_to(3 * row[:, None, None] + k[None, :, None], pos.shape).ravel()
-        self.diag = pos[which[-n_free:]][:, k, k].ravel()
         h_pos = np.full((len(bi), 3, 3), self.nnz)
         h_pos[live] = pos[which]
         # edge terms come as (E, 6, 6) products: reorder blocks (e, s, t, i, j) to rows (e, s, i, t, j)
-        edge_pos = h_pos[:n_edge].reshape(-1, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4)
-        self.h_scatter = np.concatenate([edge_pos.ravel(), h_pos[n_edge : len(bi) - n_free].ravel()])
-        gv = np.append(self.perm, -1)[np.concatenate([ends.ravel(), fprior])]
+        self.h_scatter = h_pos[:n_edge].reshape(-1, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4).ravel()
+        gv = np.append(self.perm, -1)[ends.ravel()]
         self.g_scatter = np.where(gv[:, None] >= 0, 3 * gv[:, None] + k, self.n).ravel()
-        self._matrix = sp.csc_matrix((np.zeros(self.nnz), self.indices, self.indptr), shape=(self.n, self.n))
+        # the interior's entries are a prefix of each of its columns, since rows are sorted
+        cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        inner = (cols < self.n_inner) & (self.indices < self.n_inner)
+        self._inner = np.flatnonzero(inner)
+        self._diag = np.flatnonzero(self.indices[inner] == cols[inner])
+        indptr = np.append(0, np.cumsum(np.bincount(cols[inner], minlength=self.n_inner))).astype(np.int32)
+        self._matrix = sp.csc_matrix(
+            (np.zeros(len(self._inner)), self.indices[inner], indptr), shape=(self.n_inner, self.n_inner)
+        )
+        border = cols >= self.n_inner
+        self._border = np.flatnonzero(border)
+        self._border_at = self.indices[border] * (self.n - self.n_inner) + cols[border] - self.n_inner
 
-    def assemble(self, x, e_from, meas, r, rp, sqrt_w, prior_blocks):
-        """H's CSC ``data`` and the gradient g at the pose array ``x``, from the
-        edge residuals ``r`` and weighted prior residuals ``rp`` at ``x``, the
-        prior square-root weights and their products ``prior_blocks`` (SᵀS)."""
+    def assemble(self, x, e_from, meas, r):
+        """H's CSC ``data`` and the gradient g at the pose array ``x``, from
+        the edge residuals ``r`` at ``x``."""
         a, b = _jacobians(x, r, e_from, meas)
         jac = np.concatenate([a, b], axis=2)  # (E, 3, 6): [A B]
         jac_t = jac.transpose(0, 2, 1)
-        h_terms = np.concatenate([(jac_t @ jac).ravel(), prior_blocks.ravel()])
-        g_terms = np.concatenate([(jac_t @ r[:, :, None]).ravel(), np.einsum("pji,pj->pi", sqrt_w, rp).ravel()])
-        h = np.bincount(self.h_scatter, h_terms, minlength=self.nnz + 1)[: self.nnz]
-        g = np.bincount(self.g_scatter, g_terms, minlength=self.n + 1)[: self.n]
+        h = np.bincount(self.h_scatter, (jac_t @ jac).ravel(), minlength=self.nnz + 1)[: self.nnz]
+        g = np.bincount(self.g_scatter, (jac_t @ r[:, :, None]).ravel(), minlength=self.n + 1)[: self.n]
         return h, g
 
-    def damped(self, h, mu):
-        """A new CSC matrix of H + mu I, for H's ``data`` ``h``."""
-        data = h.copy()
-        data[self.diag] += mu
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-
     def factor(self, h, mu):
-        """LU factors of H + mu I in the stored order, written into the stored
-        matrix's values. The matrix is symmetric positive definite for mu > 0,
-        so the diagonal pivots are stable."""
+        """LU factors of the interior's H + mu I in the stored order, written
+        into the stored matrix's values. The matrix is symmetric positive
+        definite for mu > 0, so the diagonal pivots are stable."""
         data = self._matrix.data
-        data[:] = h
-        data[self.diag] += mu
+        data[:] = h[self._inner]
+        data[self._diag] += mu
         return spla.splu(self._matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def borders(self, h):
+        """H's separator columns, the variables past ``n_inner``, as a dense
+        (n, n - n_inner) array, for H's ``data`` ``h``."""
+        out = np.zeros(self.n * (self.n - self.n_inner))
+        out[self._border_at] = h[self._border]
+        return out.reshape(self.n, -1)
 
 
 class LMSystem:
-    """The part of an LM solve that the graph's edge arrays, its anchor and
-    the vertices carrying priors fix (see the module docstring).
+    """The part of an LM solve that the graph's edge arrays and its anchor fix
+    (see the module docstring).
 
-    ``rows`` holds the anchor's row, then each prior vertex's row in order;
-    ``free`` the vertex row of each block of the step; ``neq`` the normal
-    equations, None when nothing is free or nothing is fitted. A system
-    serves every :func:`lm_refine_full` call on a graph with the same
-    ``e_from``/``e_to`` objects (the graph it was built from and the graphs
-    LM returns from it), the same anchor and the same prior vertices in the
-    same order.
+    ``anchor`` is the anchor's row; ``free`` the vertex row of each block of
+    the step; ``neq`` the normal equations, None when nothing is free or
+    nothing is fitted. A system serves every :func:`lm_refine_full` call on a
+    graph with the same ``e_from``/``e_to`` objects (the graph it was built
+    from and the graphs LM returns from it) and the same anchor.
     """
 
-    def __init__(self, g: PoseGraph, anchor: int, prior_vertices):
-        rows = g.rows_of(np.append(anchor, prior_vertices))
-        if rows[0] < 0:
+    def __init__(self, g: PoseGraph, anchor: int):
+        self.anchor = int(g.rows_of(anchor))
+        if self.anchor < 0:
             raise GraphError(f"anchor {anchor} is not a vertex of the graph")
-        if (rows[1:] < 0).any():
-            raise GraphError(f"prior vertex {prior_vertices[int(np.argmax(rows[1:] < 0))]} is not a vertex of the graph")
-        self.e_from, self.e_to, self.rows = g.e_from, g.e_to, rows
-        free = np.flatnonzero(np.arange(g.num_vertices) != rows[0])
+        self.e_from, self.e_to, self.meas = g.e_from, g.e_to, g.meas
+        free = np.flatnonzero(np.arange(g.num_vertices) != self.anchor)
         self.neq = None
-        if len(free) and (len(g.e_from) or len(rows) > 1):
+        if len(free) and len(g.e_from):
             free_of = np.full(g.num_vertices, -1, dtype=np.intp)
             free_of[free] = np.arange(len(free))
-            self.neq = _NormalEquations(free_of, len(free), g.e_from, g.e_to, rows[1:])
+            self.neq = _NormalEquations(free_of, len(free), g.e_from, g.e_to)
             free = free[np.argsort(self.neq.perm)]
         self.free = free
+        self.fitted = self.neq is not None
+
+    def evaluate(self, x):
+        """The edge residuals (E, 3) and the objective at the pose array ``x``."""
+        r = se2_residuals(x[self.e_from], x[self.e_to], self.meas)
+        return r, float((r * r).sum())
+
+    def linearize(self, x, r):
+        """The gradient at ``x`` and the solve mu -> step of the damped normal equations."""
+        h, grad = self.neq.assemble(x, self.e_from, self.meas, r)
+        return grad, lambda mu: self.neq.factor(h, mu).solve(-grad)
 
 
-def lm_refine_full(
-    g: PoseGraph,
-    cfg: LMConfig | None = None,
-    *,
-    anchor: int | None = None,
-    priors: Priors = _NO_PRIORS,
-    system: LMSystem | None = None,
-) -> LMResult:
-    """Refine the estimates of ``g``; ``anchor`` defaults to the lowest vertex id.
+def levenberg_marquardt(x: np.ndarray, cfg: LMConfig, system) -> tuple[np.ndarray, list[LMIterate], str]:
+    """LM from the pose array ``x`` (not modified); returns the final pose
+    array, the tries and the stop reason.
 
-    ``system`` is an :class:`LMSystem` built for this graph, anchor and prior
-    vertices, to skip building one; passing it changes no number. A system
-    built for another graph, anchor or prior vertex set is rejected.
+    ``system`` supplies the problem: ``free``, the rows of the step's
+    vertices; ``fitted``, whether anything is free and fitted;
+    ``evaluate(x)``, some state and the objective at ``x``; and
+    ``linearize(x, state)``, the gradient (in any order) and a function of
+    mu that returns the damped step over ``free`` or raises ``RuntimeError``
+    or ``LinAlgError`` when the damped system cannot be solved.
     """
-    cfg = cfg or LMConfig()
-    x, e_from, e_to, meas = g.estimates.copy(), g.e_from, g.e_to, g.meas
-    if anchor is None:
-        anchor = int(g.vids[0])
-    system = system or LMSystem(g, anchor, priors.vertices)
-    rows = g.rows_of(np.append(anchor, priors.vertices))
-    if not (system.e_from is e_from and system.e_to is e_to and np.array_equal(system.rows, rows)):
-        raise GraphError("the LMSystem was built for another graph, anchor or prior vertex set")
-    prior = (system.rows[1:], priors.targets, priors.sqrt_weights)
-    neq, free = system.neq, system.free
-
+    free = system.free
     iterates: list[LMIterate] = []
-    r, rp, f_cur = _residuals(x, e_from, e_to, meas, prior)
+    state, f_cur = system.evaluate(x)
     mu = cfg.mu0
     it = 0
     # with nothing free or nothing to fit, the gradient is empty or zero
-    stop = None if neq is not None else "gtol"
-    prior_blocks = np.einsum("pji,pjk->pik", prior[2], prior[2])
+    stop = None if system.fitted else "gtol"
     while stop is None:
         if it >= cfg.max_iters:
             stop = "max_iters"
             break
-        h, grad = neq.assemble(x, e_from, meas, r, rp, prior[2], prior_blocks)
+        grad, solve = system.linearize(x, state)
         if np.abs(grad).max() < _GTOL:
             stop = "gtol"
             break
@@ -315,9 +279,9 @@ def lm_refine_full(
         while it < cfg.max_iters:
             it += 1
             try:
-                delta = neq.factor(h, mu).solve(-grad)
+                delta = solve(mu)
                 ok = np.isfinite(delta).all()
-            except RuntimeError:
+            except (RuntimeError, np.linalg.LinAlgError):
                 ok = False
                 delta = np.zeros(len(free) * 3)
             solved = solved or ok
@@ -325,13 +289,13 @@ def lm_refine_full(
                 x_try = x.copy()
                 x_try[free] += delta.reshape(-1, 3)
                 x_try[free, 2] = wrap_angle(x_try[free, 2])
-                r_try, rp_try, f_try = _residuals(x_try, e_from, e_to, meas, prior)
+                state_try, f_try = system.evaluate(x_try)
             else:
                 f_try = math.inf
             step_norm = float(np.linalg.norm(delta))
             if f_try < f_cur:
                 rel_dec = (f_cur - f_try) / max(f_cur, 1e-300)
-                x, r, rp, f_cur = x_try, r_try, rp_try, f_try
+                x, state, f_cur = x_try, state_try, f_try
                 iterates.append(LMIterate(it, f_cur, mu, step_norm, True))
                 mu = max(mu * _MU_DOWN, 1e-15)
                 if rel_dec < cfg.ftol:
@@ -345,7 +309,25 @@ def lm_refine_full(
                 # every finite step was too small to lower f: x is at the rounding floor
                 stop = "floor"
                 break
+    return x, iterates, stop
 
+
+def lm_refine_full(
+    g: PoseGraph, cfg: LMConfig | None = None, *, anchor: int | None = None, system: LMSystem | None = None
+) -> LMResult:
+    """Refine the estimates of ``g``; ``anchor`` defaults to the lowest vertex id.
+
+    ``system`` is an :class:`LMSystem` built for this graph and anchor, to
+    skip building one; passing it changes no number. A system built for
+    another graph or anchor is rejected.
+    """
+    cfg = cfg or LMConfig()
+    if anchor is None:
+        anchor = int(g.vids[0])
+    system = system or LMSystem(g, anchor)
+    if not (system.e_from is g.e_from and system.e_to is g.e_to and system.anchor == g.rows_of(anchor)):
+        raise GraphError("the LMSystem was built for another graph or anchor")
+    x, iterates, stop = levenberg_marquardt(g.estimates.copy(), cfg, system)
     return LMResult(g.with_estimates(x), iterates, stop)
 
 

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dpgo.consensus import _SOR_MAX_SWEEPS, AdmmConfig, admm_consensus, chordal_start, information_weighted_mean
+from dpgo.consensus import _SOR_MAX_SWEEPS, admm_consensus, chordal_start, information_weighted_mean
 from dpgo.geometry import Pose2, compose, relative, wrap_angle
 from dpgo.graph import EdgeOrigin, objective
 from dpgo.partition import Partition, merge, partition
-from dpgo.synth import GenSpec, NOISE_PROFILES, NoiseProfile, generate
+from dpgo import consensus, refine
+from dpgo.refine import LMConfig, SingularNormalEquations, lm_refine_full
+from dpgo.synth import GenSpec, NOISE_PROFILES, NoiseProfile, generate, inject_outliers
 
 from conftest import edge, make_graph, vertex
 
@@ -78,42 +83,32 @@ def two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1, cycle=None):
     return part
 
 
-def test_config_rejects_zero_rounds():
-    with pytest.raises(ValueError):
-        AdmmConfig(max_iters=0)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [{"tol": float("nan")}, {"tol": -1.0}, {"max_iters": float("nan")}],
-    ids=["tol_nan", "tol_negative", "max_iters_nan"],
-)
-def test_config_rejects_malformed_field(bad):
-    with pytest.raises(ValueError):
-        AdmmConfig(**bad)
-
-
-def test_config_accepts_boundary_values():
-    AdmmConfig(max_iters=1, tol=0.0)
+def test_zero_tries_return_the_chordal_start():
+    g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2))
+    part = partition(g, 3)
+    res = admm_consensus(part, cfg=LMConfig(max_iters=0))
+    assert (res.iterations, res.stop, res.converged) == (0, "max_iters", False)
+    start = chordal_start(part)
+    assert np.array_equal(merge(res.partition, res.resolved).estimates, start.poses)
 
 
 def test_identical_duplicates_converge_immediately():
     part = two_robot_toy(p0=1.0, p1=1.0)
     res = admm_consensus(part)
-    assert res.converged
-    assert res.iterations == 1
+    # the chordal start fits both chains exactly, so LM stops on the gradient before its first try
+    assert res.converged and res.stop == "gtol"
+    assert res.iterations == 0
     assert abs(res.resolved[10].x - 1.0) < 1e-9
 
 
 def test_information_weighted_consensus_matches_closed_form():
-    cfg = AdmmConfig(max_iters=200, tol=1e-8)
     # a tree: the start holds vertex 0 only and puts vertex 1 at -0.4, where both chains agree on 0.8
-    res = admm_consensus(two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1), cfg=cfg)
+    res = admm_consensus(two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1))
     assert res.converged
     assert abs(res.resolved[10].x - 0.8) < 1e-6
     # stiffness 4 vs 1; the cycle edge 1 -> 0 of offset -0.32 puts the optimum at vertex 1 = 0, where
     # the central optimum of vertex 10 is the 4:1 weighted average
-    res = admm_consensus(two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1, cycle=-0.32), cfg=cfg)
+    res = admm_consensus(two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1, cycle=-0.32))
     assert res.converged
     assert abs(res.resolved[10].x - (4 * 0.8 + 1 * 1.2) / 5.0) < 1e-6
     assert abs(res.resolved[10].y) < 1e-9
@@ -133,9 +128,8 @@ def test_random_partitions_reach_tolerance_and_merge_agrees():
     for seed in range(3):
         g = generate(GenSpec(n_robots=2, poses_per_robot=15, seed=seed))
         part = partition(g, 2)
-        res = admm_consensus(part, cfg=AdmmConfig(max_iters=150))
-        assert res.disagreement[-1] < 1e-6 or res.converged
-        assert res.converged, f"seed {seed}: disagreement {res.disagreement[-1]:.2e}"
+        res = admm_consensus(part)
+        assert res.converged, f"seed {seed}: stop {res.stop}"
         merged = merge(res.partition, res.resolved)
         assert merged.num_vertices == g.num_vertices
         assert merged.num_edges == g.num_edges
@@ -143,13 +137,14 @@ def test_random_partitions_reach_tolerance_and_merge_agrees():
             assert merged.vertices[vid].estimate == res.resolved[vid]
 
 
-def test_disagreement_tail_is_monotone():
+def test_accepted_tries_lower_the_summed_objective():
     g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=5))
     part = partition(g, 3)
-    res = admm_consensus(part, cfg=AdmmConfig(max_iters=150))
-    tail = res.disagreement[-10:]
-    assert all(b <= a * 1.5 for a, b in zip(tail, tail[1:])), tail
-    assert res.disagreement[-1] <= res.disagreement[0]
+    res = admm_consensus(part)
+    accepted = [it.objective for it in res.iterates if it.accepted]
+    f0 = objective(g.with_estimates(chordal_start(part).poses))
+    assert accepted and all(b < a for a, b in zip([f0] + accepted[:-1], accepted))
+    assert res.disagreement == [0.0] * res.iterations
 
 
 def test_admm_leaves_input_partition_unchanged():
@@ -158,60 +153,46 @@ def test_admm_leaves_input_partition_unchanged():
     estimates = [{vid: v.estimate for vid, v in sub.vertices.items()} for sub in part.subgraphs]
     separators = {vid: list(blocks) for vid, blocks in part.separators.items()}
     subgraphs = list(part.subgraphs)
-    admm_consensus(part, cfg=AdmmConfig(max_iters=4))
+    admm_consensus(part, cfg=LMConfig(max_iters=4))
     assert all(a is b for a, b in zip(part.subgraphs, subgraphs))
     assert [{vid: v.estimate for vid, v in sub.vertices.items()} for sub in part.subgraphs] == estimates
     assert part.separators == separators
 
 
-def test_unconverged_result_is_the_best_rounds_snapshot():
+def test_unconverged_result_is_the_last_accepted_try():
     g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=6))
     part = partition(g, 3)
-    res = admm_consensus(part, cfg=AdmmConfig(max_iters=4))
-    assert not res.converged
-    assert res.iterations == 4
-    # the disagreement rises in round 4: the snapshot must be taken from an earlier round
-    assert int(np.argmin(res.disagreement)) == 2
-    spread = 0.0
+    res = admm_consensus(part, cfg=LMConfig(max_iters=2))
+    assert (res.converged, res.stop, res.iterations) == (False, "max_iters", 2)
+    merged = merge(res.partition, res.resolved)
+    assert math.isclose(objective(merged), res.iterates[-1].objective, rel_tol=1e-12)
+    # every block holds the resolved pose of each of its separators
     for vid, blocks in res.partition.separators.items():
-        z = res.resolved[vid]
         for b in blocks:
-            x = res.partition.subgraphs[b].vertices[vid].estimate
-            diff = (x.x - z.x, x.y - z.y, wrap_angle(x.theta - z.theta))
-            spread = max(spread, math.hypot(*diff))
-    assert abs(spread - min(res.disagreement)) < 1e-12
+            assert res.partition.subgraphs[b].vertices[vid].estimate == res.resolved[vid]
 
 
-def test_four_blocks_converge_to_the_objective_of_the_floor_stop():
-    # from the chordal start; 7.044486279755645 is the merged objective at LMConfig's default ftol of 1e-10
-    g = generate(GenSpec(n_robots=4, poses_per_robot=60, seed=0))
-    res = admm_consensus(partition(g, 4))
-    assert res.converged and res.iterations == 72
-    assert abs(objective(merge(res.partition, res.resolved)) / 7.044486279755645 - 1.0) < 1e-8
+@pytest.mark.parametrize("poses, tries", [(60, 6), (250, 10)])
+def test_four_blocks_take_the_tries_of_central_lm(poses, tries):
+    g = generate(GenSpec(n_robots=4, poses_per_robot=poses, seed=0))
+    res = assert_equals_central_lm(partition(g, 4))
+    assert res.converged and res.iterations == tries
+    # central LM from dead reckoning, the benchmark's reference, ends at the same optimum
+    f = objective(merge(res.partition, res.resolved))
+    assert math.isclose(f, objective(lm_refine_full(g).graph), rel_tol=1e-9)
 
 
 def test_seeded_run_is_pinned_bit_for_bit():
-    # recorded from the chordal start at LMConfig's default ftol of 1e-10 (CHANGES.md lists the values
-    # recorded earlier); the penalty doubles after rounds 41 and 53
     g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2))
-    res = admm_consensus(partition(g, 3), cfg=AdmmConfig(max_iters=55))
-    assert (res.iterations, res.converged) == (55, False)
-    assert objective(merge(res.partition, res.resolved)) == 0.506250854420046
-    assert res.disagreement == [
-        0.04597293222030386, 0.016356540038491796, 0.004369073444250189, 0.003913332661224703, 0.003070447518624516,
-        0.0022093077998935127, 0.0015455418592985734, 0.0010896280905030068, 0.0007926717199662871,
-        0.0006016775306816132, 0.00047609538854316623, 0.0003893886637414179, 0.00033726746840578647,
-        0.0003108338766455723, 0.00028680843172314025, 0.00026536492019647986, 0.0002463806122447587,
-        0.000229579480648856, 0.0002146473291074127, 0.00020129552622455868, 0.00018928453694976865,
-        0.00017842446640473715, 0.00016856604957568553, 0.0001595899621228114, 0.0001513979312233931,
-        0.00014390648844924854, 0.00013704299586716793, 0.00013074323983546855, 0.00012494996238451378,
-        0.00011961189882740992, 0.00011468307366493925, 0.00011012223159980678, 0.00010589234978360138,
-        0.00010196020939730278, 9.829601645034327e-05, 9.487306497182199e-05, 9.166743642672706e-05,
-        8.865772972106392e-05, 8.582481699526152e-05, 8.315162145118636e-05, 8.062291442071233e-05,
-        3.164193602376551e-05, 2.12456632975297e-05, 1.8532223312050415e-05, 1.773458167244576e-05,
-        1.7478240453705444e-05, 1.7369223426564775e-05, 1.7283449125297557e-05, 1.718360734673801e-05,
-        1.7061800037881024e-05, 1.691963338542977e-05, 1.6761157819806995e-05, 1.659047846531882e-05,
-        5.540480934013601e-06, 4.230036089923657e-06,
+    res = admm_consensus(partition(g, 3))
+    assert (res.iterations, res.stop, res.message_bytes) == (5, "ftol", 4800)
+    assert objective(merge(res.partition, res.resolved)) == 0.4860948420000487
+    assert [(it.objective, it.damping, it.accepted) for it in res.iterates] == [
+        (0.48677680533184653, 0.0001, True),
+        (0.48609610869098124, 3.3333333333333335e-05, True),
+        (0.48609484717647894, 1.1111111111111112e-05, True),
+        (0.4860948420265754, 3.7037037037037037e-06, True),
+        (0.4860948420000487, 1.234567901234568e-06, True),
     ]
 
 
@@ -276,29 +257,143 @@ def test_start_stops_on_its_tolerance_well_below_the_sweep_cap():
     part = partition(g, 4)
     sweeps = chordal_start(part).sweeps
     assert all(0 < s < _SOR_MAX_SWEEPS // 5 for s in sweeps), sweeps
-    assert admm_consensus(part, cfg=AdmmConfig(max_iters=1)).start_sweeps == sweeps
+    assert admm_consensus(part, cfg=LMConfig(max_iters=1)).start_sweeps == sweeps
 
 
-def test_start_holds_the_lowest_vertex_of_each_component():
-    # two robots that never meet: two blocks, no separator, one component each
-    truths = [Pose2(0, 0, 0), Pose2(1, 0, 0.5), Pose2(1.5, 1, 1.2), Pose2(5, 5, -1), Pose2(6, 4, -0.5), Pose2(7, 4, 0)]
-    held = {0: Pose2(2, -1, 0.3), 3: Pose2(-4, 1, 2.5)}
-
+def two_component_partition():
+    """Two robots that never meet: two blocks, no separator, one component
+    each; vertices 0 and 3 sit at their poses in ``HELD``."""
     def block(r):
         vids = [3 * r, 3 * r + 1, 3 * r + 2]
         odometry, loop = EdgeOrigin.ODOMETRY, EdgeOrigin.INTRA_LOOP
         pairs = [(vids[0], vids[1], odometry), (vids[1], vids[2], odometry), (vids[0], vids[2], loop)]
         return make_graph(
-            [vertex(v, robot=r, timestep=v - 3 * r, estimate=held.get(v, Pose2(0, 0, 0))) for v in vids],
-            [edge(a, b, relative(truths[a], truths[b]), np.eye(3), origin) for a, b, origin in pairs],
+            [vertex(v, robot=r, timestep=v - 3 * r, estimate=HELD.get(v, Pose2(0, 0, 0))) for v in vids],
+            [edge(a, b, relative(TRUTHS[a], TRUTHS[b]), np.eye(3), origin) for a, b, origin in pairs],
         )
 
-    part = Partition([block(0), block(1)], {v: v // 3 for v in range(6)}, {}, [[0, 1, 2], [3, 4, 5]])
+    return Partition([block(0), block(1)], {v: v // 3 for v in range(6)}, {}, [[0, 1, 2], [3, 4, 5]])
+
+
+TRUTHS = [Pose2(0, 0, 0), Pose2(1, 0, 0.5), Pose2(1.5, 1, 1.2), Pose2(5, 5, -1), Pose2(6, 4, -0.5), Pose2(7, 4, 0)]
+HELD = {0: Pose2(2, -1, 0.3), 3: Pose2(-4, 1, 2.5)}
+
+
+def test_start_holds_the_lowest_vertex_of_each_component():
+    part = two_component_partition()
     start = chordal_start(part)
-    for first in held:
-        assert start.poses[first].tolist() == held[first].as_vector().tolist()
+    for first in HELD:
+        assert start.poses[first].tolist() == HELD[first].as_vector().tolist()
         for v in (first + 1, first + 2):
-            want = compose(held[first], relative(truths[first], truths[v]))
+            want = compose(HELD[first], relative(TRUTHS[first], TRUTHS[v]))
             assert_poses_close(start.poses[[v]], want.as_vector()[None], 1e-6)
-    res = admm_consensus(part)
+    # LM holds vertex 0 only, as central LM does, and still ends where central LM ends
+    res = assert_equals_central_lm(part)
     assert res.converged and res.resolved == {}
+
+
+def assert_equals_central_lm(part):
+    """Consensus over ``part`` takes the tries of central LM from the same
+    chordal start and ends at its objective and poses; returns its result."""
+    res = admm_consensus(part)
+    merged = merge(res.partition, res.resolved)
+    central = lm_refine_full(merged.with_estimates(chordal_start(part).poses))
+    assert (res.iterations, res.stop) == (len(central.iterates), central.stop)
+    assert math.isclose(objective(merged), objective(central.graph), rel_tol=1e-9, abs_tol=1e-20)
+    assert_poses_close(merged.estimates, central.graph.estimates, 1e-9)
+    return res
+
+
+SEPARATOR_CASES = [
+    (1, 8, 0, 1),  # one block, no separator
+    (4, 8, 0, 4),  # a separator held by three or more blocks
+    (3, 20, 2, 3),  # the global anchor is a separator
+]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(robots=st.integers(1, 4), poses=st.integers(8, 20), seed=st.integers(0, 2**16), blocks=st.integers(1, 4))
+@example(*SEPARATOR_CASES[0])
+@example(*SEPARATOR_CASES[1])
+@example(*SEPARATOR_CASES[2])
+def test_consensus_is_central_lm_from_the_chordal_start(robots, poses, seed, blocks):
+    part = partition(generate(GenSpec(n_robots=robots, poses_per_robot=poses, seed=seed)), blocks)
+    res = assert_equals_central_lm(part)
+    assert set(res.resolved) == set(part.separators)
+    assert res.disagreement == [0.0] * res.iterations
+
+
+def test_examples_cover_the_separator_cases():
+    (none, three, anchored) = [
+        (int(g.vids[0]), partition(g, blocks).separators)
+        for robots, poses, seed, blocks in SEPARATOR_CASES
+        for g in [generate(GenSpec(n_robots=robots, poses_per_robot=poses, seed=seed))]
+    ]
+    assert none[1] == {}
+    assert max(len(holders) for holders in three[1].values()) >= 3
+    assert anchored[0] in anchored[1]
+
+
+def test_gradient_and_step_are_central_lms():
+    # at a point off the optimum, per vertex row: the gradient LM tests and the damped step of one try
+    g = generate(GenSpec(n_robots=4, poses_per_robot=12, seed=1))
+    part = partition(g, 4)
+    x = chordal_start(part).poses + np.random.default_rng(0).normal(scale=0.05, size=(g.num_vertices, 3))
+    central = refine.LMSystem(g, int(g.vids[0]))
+    blocks = consensus._Blocks(part, g.vids)
+    assert sorted(blocks.free) == sorted(central.free)
+    (grad_c, solve_c), (grad_b, solve_b) = (s.linearize(x, s.evaluate(x)[0]) for s in (central, blocks))
+    assert math.isclose(central.evaluate(x)[1], blocks.evaluate(x)[1], rel_tol=1e-12)
+
+    def by_row(free, values):
+        return values.reshape(-1, 3)[np.argsort(free)]
+
+    assert np.abs(by_row(blocks.free, grad_b) - by_row(central.free, grad_c)).max() < 1e-12 * np.abs(grad_c).max()
+    for mu in (1e-4, 1.0):
+        step = by_row(central.free, solve_c(mu))
+        assert np.abs(by_row(blocks.free, solve_b(mu)) - step).max() < 1e-10 * np.abs(step).max()
+
+
+def test_message_bytes_are_the_largest_blocks_reduced_system():
+    g = generate(GenSpec(n_robots=4, poses_per_robot=20, seed=3))
+    part = partition(g, 4)
+    res = admm_consensus(part, cfg=LMConfig(max_iters=1))
+    held = [sum(b in holders for vid, holders in part.separators.items() if vid != g.vids[0]) for b in range(4)]
+    # a dense (3s, 3s) Schur complement and a 3s reduced gradient of float64 for s separators
+    assert res.message_bytes == max(8 * (9 * s * s + 3 * s) for s in held)
+
+
+def test_failed_cholesky_is_a_rejected_try(monkeypatch):
+    part = partition(generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2)), 3)
+    want = admm_consensus(part)
+    real = scipy.linalg.cho_factor
+    calls = []
+
+    def fails_twice(*args, **kwargs):
+        calls.append(1)
+        if len(calls) <= 2:
+            raise np.linalg.LinAlgError("not positive definite")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fails_twice)
+    res = admm_consensus(part)
+    assert [it.accepted for it in res.iterates[:3]] == [False, False, True]
+    assert [it.damping for it in res.iterates[:3]] == [1e-4, 1e-3, 1e-2]
+    assert res.converged
+    assert math.isclose(res.iterates[-1].objective, want.iterates[-1].objective, rel_tol=1e-9)
+
+
+def test_unsolvable_reduced_system_raises(monkeypatch):
+    part = partition(generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2)), 3)
+
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fails)
+    with pytest.raises(SingularNormalEquations):
+        admm_consensus(part)
+
+
+def test_outlier_graph_consensus_is_central_lm():
+    g, _ = inject_outliers(generate(GenSpec(n_robots=4, poses_per_robot=30, seed=1)), 0.1, 1)
+    assert assert_equals_central_lm(partition(g, 4)).converged

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
 from dpgo.geometry import Pose2, relative, wrap_angle
 from dpgo.graph import EdgeOrigin, GraphError, objective, se2_residuals
 from dpgo import refine
-from dpgo.refine import LMConfig, Priors, SingularNormalEquations, lm_refine, lm_refine_full
+from dpgo.refine import LMConfig, SingularNormalEquations, lm_refine, lm_refine_full
 from dpgo.partition import partition
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate, inject_outliers
 
@@ -26,6 +27,12 @@ def three_pose_loop(noise=0.0, seed=0):
         origin = EdgeOrigin.ODOMETRY if j == i + 1 else EdgeOrigin.INTRA_LOOP
         edges.append(edge(i, j, rel, np.eye(3), origin))
     return make_graph(vertices, edges)
+
+
+def seeded_graph(case):
+    """The 2x15 graph of seed 4, with 10% outliers injected when ``case`` is "outliers"."""
+    g = generate(GenSpec(n_robots=2, poses_per_robot=15, seed=4))
+    return inject_outliers(g, 0.1, 4)[0] if case == "outliers" else g
 
 
 def test_noise_free_graph_stays_at_zero():
@@ -107,59 +114,64 @@ def test_jacobians_match_finite_differences(rng):
                 assert np.abs(fd - jac[:, k]).max() < 1e-5
 
 
-def dense_normal_equations_case(rng):
+def dense_normal_equations_case(rng, n_last=0):
     """A small solve's normal equations next to its dense Jacobian and residual.
 
     Vertex 0 is the anchor and (0, 1) touches it; (1, 2) and (2, 1) are
-    parallel; vertex 2 carries both of them and two priors; the prior on the
-    anchor drops out. The dense Jacobian has no anchor columns and its
-    columns are in vertex order.
+    parallel. The dense Jacobian has no anchor columns, and its columns are
+    in the order of the normal equations. The last ``n_last`` free vertices
+    are ordered last.
     """
-    from dpgo.refine import _NormalEquations, _jacobians, _residuals
+    from dpgo.refine import _NormalEquations, _jacobians
 
     n = 5
     x = np.array([rand_pose(rng).as_vector() for _ in range(n)])
     e_from = np.array([0, 1, 2, 2, 3, 4])
     e_to = np.array([1, 2, 1, 3, 4, 1])
     meas = np.array([rand_pose(rng, 1.0).as_vector() for _ in e_from])
-    p_rows = np.array([2, 2, 4, 0])
-    prior = (p_rows, np.array([rand_pose(rng).as_vector() for _ in p_rows]), rng.normal(size=(len(p_rows), 3, 3)))
-    neq = _NormalEquations(np.array([-1, 0, 1, 2, 3]), n - 1, e_from, e_to, p_rows)
-    r, rp, _ = _residuals(x, e_from, e_to, meas, prior)
-    h, g = neq.assemble(x, e_from, meas, r, rp, prior[2], np.einsum("pji,pjk->pik", prior[2], prior[2]))
+    neq = _NormalEquations(np.array([-1, 0, 1, 2, 3]), n - 1, e_from, e_to, n_last)
+    r = se2_residuals(x[e_from], x[e_to], meas)
+    h, g = neq.assemble(x, e_from, meas, r)
 
     a, b = _jacobians(x, r, e_from, meas)
-    jac = np.zeros((3 * (len(e_from) + len(p_rows)), 3 * n))
+    jac = np.zeros((3 * len(e_from), 3 * n))
     for e, (p, q) in enumerate(zip(e_from, e_to)):
         jac[3 * e : 3 * e + 3, 3 * p : 3 * p + 3] += a[e]
         jac[3 * e : 3 * e + 3, 3 * q : 3 * q + 3] += b[e]
-    for k, v in enumerate(p_rows):
-        row = 3 * (len(e_from) + k)
-        jac[row : row + 3, 3 * v : 3 * v + 3] = prior[2][k]
-    res = np.concatenate([r.ravel(), rp.ravel()])
-    return neq, h, g, jac[:, 3:], res
+    jac = jac[:, 3:][:, (3 * np.argsort(neq.perm)[:, None] + np.arange(3)).ravel()]  # free vertex k is block perm[k]
+    return neq, h, g, jac, r.ravel()
 
 
 def test_normal_equations_match_dense_oracle(rng):
     neq, h, g, jac, res = dense_normal_equations_case(rng)
     assert sorted(neq.perm) == [0, 1, 2, 3]
-    jac = jac[:, (3 * np.argsort(neq.perm)[:, None] + np.arange(3)).ravel()]  # free vertex k is block perm[k]
-
-    h_mat = neq.damped(h, 0.0)
+    h_mat = sp.csc_matrix((h, neq.indices, neq.indptr), shape=(neq.n, neq.n))
     assert h_mat.shape == (12, 12) and h_mat.indices.dtype == np.int32
     assert np.abs(h_mat.todense() - jac.T @ jac).max() < 1e-12
     assert np.abs(g - jac.T @ res).max() < 1e-12
     for c in range(neq.n):
         assert c in h_mat.indices[h_mat.indptr[c] : h_mat.indptr[c + 1]]
-    assert np.abs((neq.damped(h, 0.5) - h_mat).todense() - 0.5 * np.eye(12)).max() < 1e-12
+    neq.factor(h, 0.5)  # writes H + mu I into the stored matrix
+    assert np.abs((neq._matrix - h_mat).todense() - 0.5 * np.eye(12)).max() < 1e-12
 
 
 def test_damped_step_matches_dense_solve(rng):
     neq, h, g, jac, res = dense_normal_equations_case(rng)
     mu = 0.5
-    step = neq.factor(h, mu).solve(-g).reshape(-1, 3)[neq.perm].ravel()  # back to vertex order
+    step = neq.factor(h, mu).solve(-g)
     dense = np.linalg.solve(jac.T @ jac + mu * np.eye(12), -jac.T @ res)
     assert np.abs(step - dense).max() < 1e-10
+
+
+def test_last_vertices_stay_last_and_the_interior_factors_alone(rng):
+    neq, h, g, jac, res = dense_normal_equations_case(rng, n_last=2)
+    assert neq.perm[2:].tolist() == [2, 3] and sorted(neq.perm[:2]) == [0, 1]
+    assert (neq.n, neq.n_inner) == (12, 6)
+    dense = jac.T @ jac
+    assert np.abs(neq.borders(h) - dense[:, 6:]).max() < 1e-12
+    mu = 0.5
+    interior = np.linalg.solve(dense[:6, :6] + mu * np.eye(6), -g[:6])
+    assert np.abs(neq.factor(h, mu).solve(-g[:6]) - interior).max() < 1e-10
 
 
 def test_block_order_fills_no_more_than_colamd():
@@ -167,48 +179,40 @@ def test_block_order_fills_no_more_than_colamd():
 
     g, _ = inject_outliers(generate(GenSpec(n_robots=4, poses_per_robot=60, seed=7)), 0.1, 7)
     n = g.num_vertices
-    neq = _NormalEquations(np.arange(n) - 1, n - 1, g.e_from, g.e_to, np.zeros(0, dtype=np.intp))  # vertex 0 anchored
+    neq = _NormalEquations(np.arange(n) - 1, n - 1, g.e_from, g.e_to)  # vertex 0 anchored
     r = se2_residuals(g.estimates[g.e_from], g.estimates[g.e_to], g.meas)
-    h, _ = neq.assemble(g.estimates, g.e_from, g.meas, r, np.zeros((0, 3)), np.zeros((0, 3, 3)), np.zeros((0, 3, 3)))
+    h, _ = neq.assemble(g.estimates, g.e_from, g.meas, r)
     ours = neq.factor(h, 1e-4)
-    colamd = refine.spla.splu(neq.damped(h, 1e-4))
+    damped = sp.csc_matrix((h, neq.indices, neq.indptr), shape=(neq.n, neq.n)) + 1e-4 * sp.identity(neq.n, format="csc")
+    colamd = refine.spla.splu(damped)
     assert ours.L.nnz + ours.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
 
-
 def test_one_system_serves_repeated_solves_bit_for_bit(rng):
-    # a consensus block's sequence: new targets each round, one penalty doubling, then another start
+    # solves from perturbed starts on one graph, capped and uncapped
     g = generate(GenSpec(n_robots=2, poses_per_robot=15, seed=3, profile=NOISE_PROFILES["v2"]))
-    anchor, p_vids = int(g.vids[3]), [int(v) for v in g.vids[[0, 5, 9, 5, 3]]]
-    system = refine.LMSystem(g, anchor, p_vids)
-    cfg = LMConfig(max_iters=10)
+    anchor = int(g.vids[3])
+    system = refine.LMSystem(g, anchor)
     start = g
-    for k, rho in enumerate([5.0, 5.0, 10.0, 10.0]):
-        if k == 3:
-            start = start.with_estimates(start.estimates + rng.normal(scale=0.2, size=start.estimates.shape))
-        targets = start.estimates[start.rows_of(p_vids)] + rng.normal(scale=0.3, size=(len(p_vids), 3))
-        priors = Priors(p_vids, targets, np.broadcast_to(math.sqrt(rho / 2.0) * np.eye(3), (len(p_vids), 3, 3)))
-        fresh = lm_refine_full(start, cfg, anchor=anchor, priors=priors)
-        cached = lm_refine_full(start, cfg, anchor=anchor, priors=priors, system=system)
+    for cfg in [LMConfig(max_iters=3), LMConfig(), LMConfig(max_iters=3), LMConfig(mu0=1.0)]:
+        fresh = lm_refine_full(start, cfg, anchor=anchor)
+        cached = lm_refine_full(start, cfg, anchor=anchor, system=system)
         assert np.array_equal(cached.graph.estimates, fresh.graph.estimates)
         assert cached.iterates == fresh.iterates and cached.stop == fresh.stop
         assert any(it.accepted for it in cached.iterates)
-        start = cached.graph
+        start = cached.graph.with_estimates(cached.graph.estimates + rng.normal(scale=0.2, size=g.estimates.shape))
 
 
 def test_system_built_for_another_solve_is_rejected():
     g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
-    anchor, p_vids = int(g.vids[2]), [int(g.vids[4]), int(g.vids[7])]
-    priors = Priors(p_vids, np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
-    system = refine.LMSystem(g, anchor, p_vids)
-    lm_refine_full(g, anchor=anchor, priors=priors, system=system)
+    anchor = int(g.vids[2])
+    system = refine.LMSystem(g, anchor)
+    lm_refine_full(g, anchor=anchor, system=system)
     mismatched = [
-        (g, {"anchor": int(g.vids[1]), "priors": priors}),
-        (g, {"priors": priors}),  # the default anchor, the lowest id
-        (g, {"anchor": anchor, "priors": Priors(p_vids[:1], np.zeros((1, 3)), np.eye(3)[None])}),
-        (g, {"anchor": anchor, "priors": Priors(p_vids[::-1], priors.targets, priors.sqrt_weights)}),
-        (g.copy(), {"anchor": anchor, "priors": priors}),
-        (generate(GenSpec(n_robots=2, poses_per_robot=10, seed=1)), {"anchor": anchor, "priors": priors}),
+        (g, {"anchor": int(g.vids[1])}),
+        (g, {}),  # the default anchor, the lowest id
+        (g.copy(), {"anchor": anchor}),
+        (generate(GenSpec(n_robots=2, poses_per_robot=10, seed=1)), {"anchor": anchor}),
     ]
     for other, kwargs in mismatched:
         with pytest.raises(GraphError, match="built for another graph"):
@@ -276,31 +280,14 @@ def test_stop_reasons():
 
 
 def test_default_ftol_stops_off_the_rounding_floor():
-    # a consensus block's local solve: its separator copies pulled toward perturbed targets
-    p = partition(generate(GenSpec(n_robots=4, poses_per_robot=60, seed=0)), 4)
-    sub, vids = p.subgraphs[0], sorted(v for v, blocks in p.separators.items() if 0 in blocks)
-    targets = sub.estimates[sub.rows_of(vids)] + np.random.default_rng(0).normal(scale=0.1, size=(len(vids), 3))
-    priors = Priors(vids, targets, np.broadcast_to(math.sqrt(2.5) * np.eye(3), (len(vids), 3, 3)))
-    default = lm_refine_full(sub, priors=priors)
-    floor = lm_refine_full(sub, LMConfig(ftol=1e-14), priors=priors)
-    f_default, f_floor = ([it.objective for it in r.iterates if it.accepted][-1] for r in (default, floor))
-    assert LMConfig().ftol == 1e-10 and default.stop == "ftol"
-    assert len(default.iterates) <= len(floor.iterates)
-    assert abs(f_default - f_floor) <= 1e-10 * f_floor
-
-
-def test_prior_factor_pulls_vertex_to_target():
-    g = make_graph(
-        [vertex(0, estimate=Pose2(0, 0, 0)), vertex(1, timestep=1, estimate=Pose2(1, 0, 0))],
-        [edge(0, 1, Pose2(1, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY)],
-    )
-    target = np.array([1.5, 0.4, 0.3])  # (x, y, theta)
-    strong = 1e4 * np.eye(3)
-    res = lm_refine_full(g, cfg=LMConfig(max_iters=50), priors=Priors([1], target[None], strong[None]))
-    est = res.graph.vertices[1].estimate
-    assert abs(est.theta - 0.3) < 1e-3
-    assert abs(est.x - 1.5) < 1e-3
-    assert abs(est.y - 0.4) < 1e-3
+    for case in ("outlier_free", "outliers"):
+        g = seeded_graph(case)
+        default = lm_refine_full(g)
+        tight = lm_refine_full(g, LMConfig(ftol=1e-14))
+        f_default, f_tight = (objective(r.graph) for r in (default, tight))
+        assert LMConfig().ftol == 1e-10 and default.stop == "ftol"
+        assert len(default.iterates) < len(tight.iterates)
+        assert abs(f_default - f_tight) <= 1e-10 * f_tight
 
 
 def test_weighted_objective_respected():
@@ -328,51 +315,6 @@ def test_unknown_anchor_is_rejected():
     g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
     with pytest.raises(GraphError, match="anchor 999"):
         lm_refine_full(g, anchor=999)
-
-
-def test_prior_on_unknown_vertex_is_rejected():
-    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
-    with pytest.raises(GraphError, match="prior vertex 999"):
-        lm_refine_full(g, priors=Priors([999], np.zeros((1, 3)), np.eye(3)[None]))
-
-
-def test_non_finite_prior_target_is_rejected():
-    with pytest.raises(GraphError, match="prior targets on vertex 3"):
-        Priors([3], [[0.0, math.nan, 0.0]], np.eye(3)[None])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_prior_weight_is_rejected_by_vertex(bad):
-    weights = np.stack([np.eye(3)] * 3)
-    weights[1, 2, 0] = bad
-    with pytest.raises(GraphError, match="prior sqrt_weights on vertex 7 are not finite") as exc:
-        Priors([2, 7, 9], np.zeros((3, 3)), weights)
-    assert exc.value.position == ("prior", 1)
-
-
-@pytest.mark.parametrize(
-    "vertices, targets, sqrt_weights, match",
-    [
-        ([2, 7], np.zeros((2, 2)), np.zeros((2, 3, 3)), r"prior targets must have shape \(2, 3\), got \(2, 2\)"),
-        ([2, 7], np.zeros((1, 3)), np.zeros((2, 3, 3)), r"prior targets must have shape \(2, 3\), got \(1, 3\)"),
-        ([2, 7], np.zeros((2, 3)), np.eye(3), r"prior sqrt_weights must have shape \(2, 3, 3\), got \(3, 3\)"),
-        ([2, 7], np.zeros((2, 3)), np.zeros((2, 3, 2)), r"prior sqrt_weights must have shape \(2, 3, 3\)"),
-        ([[2, 7]], np.zeros((2, 3)), np.zeros((2, 3, 3)), r"prior vertex must have shape \(2,\), got \(1, 2\)"),
-        ([2, 7.5], np.zeros((2, 3)), np.zeros((2, 3, 3)), "prior vertex 7.5 of prior row 1 is not an integer"),
-    ],
-    ids=["targets_width", "targets_rows", "weights_unstacked", "weights_width", "vertices_2d", "vertex_not_integer"],
-)
-def test_misshaped_prior_arrays_are_rejected(vertices, targets, sqrt_weights, match):
-    with pytest.raises(GraphError, match=match):
-        Priors(vertices, targets, sqrt_weights)
-
-
-def test_priors_are_copied_at_construction():
-    targets, weights = np.zeros((1, 3)), np.eye(3)[None].copy()
-    priors = Priors(np.array([4]), targets, weights)
-    targets[0, 0], weights[0, 0, 0] = math.nan, math.inf
-    assert np.isfinite(priors.targets).all() and np.isfinite(priors.sqrt_weights).all()
-
 
 CENTRAL_PINS = {
     # (objective, damping, accepted) of every try of lm_refine_full at the default LMConfig, and the stop
@@ -404,10 +346,7 @@ CENTRAL_PINS = {
 
 @pytest.mark.parametrize("case", sorted(CENTRAL_PINS))
 def test_seeded_central_run_is_pinned_bit_for_bit(case):
-    g = generate(GenSpec(n_robots=2, poses_per_robot=15, seed=4))
-    if case == "outliers":
-        g, _ = inject_outliers(g, 0.1, 4)
-    res = lm_refine_full(g)
+    res = lm_refine_full(seeded_graph(case))
     iterates, stop = CENTRAL_PINS[case]
     assert [(it.objective, it.damping, it.accepted) for it in res.iterates] == iterates
     assert res.stop == stop
