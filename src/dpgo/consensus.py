@@ -239,6 +239,7 @@ class _Blocks:
         sep = sep[sep != vids[0]]  # the unknowns of the reduced system
         self.blocks = []  # per block: subgraph, rows in the pose array, normal equations, reduced columns
         interiors = []
+        holders = np.zeros(3 * len(sep))
         for sub in p.subgraphs:
             is_sep = np.isin(sub.vids, sep)
             free = np.concatenate([np.flatnonzero(~is_sep & (sub.vids != vids[0])), np.flatnonzero(is_sep)])
@@ -252,11 +253,10 @@ class _Blocks:
             cols = (3 * np.searchsorted(sep, sub.vids[free[inner:]])[:, None] + np.arange(3)).ravel()
             self.blocks.append((sub, np.searchsorted(vids, sub.vids), neq, cols))
             interiors.append(np.searchsorted(vids, sub.vids[free[:inner]]))
+            holders[cols] += 1
         self.free = np.concatenate(interiors + [np.searchsorted(vids, sep)])
         self.fitted = bool(self.blocks)
-        # every holder's S_b adds mu on a separator's diagonal, and the reduced system keeps one
-        holders = np.bincount(np.concatenate([np.arange(0)] + [c for *_, c in self.blocks]), minlength=3 * len(sep))
-        self.extra = holders - 1.0
+        self.extra = holders - 1  # every holder's S_b adds mu on a separator's diagonal; the sum keeps one
         self.message_bytes = max((8 * len(c) * (len(c) + 1) for *_, c in self.blocks), default=0)
 
     def evaluate(self, x):
@@ -287,7 +287,7 @@ class _Blocks:
         rhs = np.zeros(len(self.extra))
         back = []
         for neq, h, g_in, g_sep, h_is, h_ss, cols in parts:
-            # the block's message: S_b and r_b, with (H_ii + mu I)^-1 g_i and ^-1 H_is kept for its back-substitution
+            # the block sends S_b and r_b and keeps y = (H_ii + mu I)^-1 g_i and xs = (H_ii + mu I)^-1 H_is
             s_b, r_b, y, xs = h_ss + mu * np.eye(len(cols)), g_sep, g_in, h_is
             if neq.n_inner:
                 lu = neq.factor(h, mu)

@@ -172,14 +172,16 @@ class _NormalEquations:
         self.h_scatter = h_pos[:n_edge].reshape(-1, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4).ravel()
         gv = np.append(self.perm, -1)[ends.ravel()]
         self.g_scatter = np.where(gv[:, None] >= 0, 3 * gv[:, None] + k, self.n).ravel()
-        # the interior's entries are a prefix of each of its columns, since rows are sorted
+        # the interior's entries are a prefix of each of its columns, since rows are sorted; without
+        # separators (a central solve) they are all of H, and a slice spares factor a copy
         cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
         inner = (cols < self.n_inner) & (self.indices < self.n_inner)
-        self._inner = np.flatnonzero(inner)
+        self._inner = np.flatnonzero(inner) if n_last else slice(None)
         self._diag = np.flatnonzero(self.indices[inner] == cols[inner])
         indptr = np.append(0, np.cumsum(np.bincount(cols[inner], minlength=self.n_inner))).astype(np.int32)
         self._matrix = sp.csc_matrix(
-            (np.zeros(len(self._inner)), self.indices[inner], indptr), shape=(self.n_inner, self.n_inner)
+            (np.zeros(int(inner.sum())), self.indices[self._inner], indptr),
+            shape=(self.n_inner, self.n_inner),
         )
         border = cols >= self.n_inner
         self._border = np.flatnonzero(border)

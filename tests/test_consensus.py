@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dpgo import consensus, refine
 from dpgo.consensus import _SOR_MAX_SWEEPS, admm_consensus, chordal_start, information_weighted_mean
 from dpgo.geometry import Pose2, compose, relative, wrap_angle
 from dpgo.graph import EdgeOrigin, objective
 from dpgo.partition import Partition, merge, partition
-from dpgo import consensus, refine
 from dpgo.refine import LMConfig, SingularNormalEquations, lm_refine_full
 from dpgo.synth import GenSpec, NOISE_PROFILES, NoiseProfile, generate, inject_outliers
 
@@ -312,26 +312,36 @@ SEPARATOR_CASES = [
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(robots=st.integers(1, 4), poses=st.integers(8, 20), seed=st.integers(0, 2**16), blocks=st.integers(1, 4))
-@example(*SEPARATOR_CASES[0])
-@example(*SEPARATOR_CASES[1])
-@example(*SEPARATOR_CASES[2])
-def test_consensus_is_central_lm_from_the_chordal_start(robots, poses, seed, blocks):
-    part = partition(generate(GenSpec(n_robots=robots, poses_per_robot=poses, seed=seed)), blocks)
+@given(
+    robots=st.integers(1, 4),
+    poses=st.integers(8, 20),
+    seed=st.integers(0, 2**16),
+    blocks=st.integers(1, 4),
+    outliers=st.booleans(),
+)
+@example(*SEPARATOR_CASES[0], False)
+@example(*SEPARATOR_CASES[1], False)
+@example(*SEPARATOR_CASES[2], False)
+@example(4, 20, 1, 4, True)  # outliers
+def test_consensus_is_central_lm_from_the_chordal_start(robots, poses, seed, blocks, outliers):
+    g = generate(GenSpec(n_robots=robots, poses_per_robot=poses, seed=seed))
+    if outliers:
+        g, _ = inject_outliers(g, 0.1, seed)
+    part = partition(g, blocks)
     res = assert_equals_central_lm(part)
     assert set(res.resolved) == set(part.separators)
     assert res.disagreement == [0.0] * res.iterations
 
 
 def test_examples_cover_the_separator_cases():
-    (none, three, anchored) = [
-        (int(g.vids[0]), partition(g, blocks).separators)
-        for robots, poses, seed, blocks in SEPARATOR_CASES
-        for g in [generate(GenSpec(n_robots=robots, poses_per_robot=poses, seed=seed))]
-    ]
-    assert none[1] == {}
-    assert max(len(holders) for holders in three[1].values()) >= 3
-    assert anchored[0] in anchored[1]
+    def separators(robots, poses, seed, blocks):
+        g = generate(GenSpec(n_robots=robots, poses_per_robot=poses, seed=seed))
+        return int(g.vids[0]), partition(g, blocks).separators
+
+    assert separators(*SEPARATOR_CASES[0])[1] == {}
+    assert max(map(len, separators(*SEPARATOR_CASES[1])[1].values())) >= 3
+    anchor, held = separators(*SEPARATOR_CASES[2])
+    assert anchor in held
 
 
 def test_gradient_and_step_are_central_lms():
@@ -392,8 +402,3 @@ def test_unsolvable_reduced_system_raises(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "cho_factor", fails)
     with pytest.raises(SingularNormalEquations):
         admm_consensus(part)
-
-
-def test_outlier_graph_consensus_is_central_lm():
-    g, _ = inject_outliers(generate(GenSpec(n_robots=4, poses_per_robot=30, seed=1)), 0.1, 1)
-    assert assert_equals_central_lm(partition(g, 4)).converged
