@@ -5,7 +5,7 @@ Conventions used throughout the package:
 * angles live in ``(-pi, pi]``; :func:`wrap_angle` is the one wrap, applied
   after every operation;
 * pose arrays are ordered ``(x, y, theta)``: vertex states, measurements,
-  twists, prior targets, consensus duals, environment and encoder arrays and
+  twists, environment and encoder arrays and
   :meth:`Pose2.as_vector`;
 * residual and information arrays are ordered ``(theta, x, y)``: the edge
   residual of :func:`dpgo.graph.se2_residuals` is ``(dtheta, dx, dy)`` and

@@ -17,8 +17,8 @@ part of each information matrix and makes every array but ``estimates`` and
 ``position`` holds the row's kind and input index, so a loader can name the
 line. :meth:`PoseGraph.with_estimates` is the one narrow path around it: it
 validates only the estimate array it replaces and shares every read-only
-array. LM returns its graph through it, so the edge arrays of a consensus
-block stay the same objects across rounds.
+array. LM returns its graph through it, so the edge arrays stay the same
+objects from solve to solve.
 
 Every stage reads the arrays. ``vertices`` (id -> a view whose ``estimate``
 and ``truth`` read and write the rows) and ``edges`` (read-only

@@ -9,7 +9,6 @@ from dpgo.geometry import Pose2, relative, wrap_angle
 from dpgo.graph import EdgeOrigin, GraphError, objective, se2_residuals
 from dpgo import refine
 from dpgo.refine import LMConfig, SingularNormalEquations, lm_refine, lm_refine_full
-from dpgo.partition import partition
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate, inject_outliers
 
 from conftest import edge, make_graph, rand_graph, rand_pose, vertex
