@@ -5,7 +5,9 @@ Minimizes the global objective f (the sum of squared residuals of
 Jacobians, solving sparse normal equations by sparse LU. The state is the
 (N, 3) pose array (x, y, theta) of the vertices in sorted id order, so each
 variable block is (x, y, theta) while residual rows are (dtheta, dx, dy). One
-vertex is anchored to remove the gauge freedom.
+vertex is anchored to remove the gauge freedom. Optional :class:`Priors`, one
+validated struct of arrays, pull selected vertices of a central solve toward
+target poses.
 
 One loop, :func:`levenberg_marquardt`, serves the central solve here and the
 distributed one of :mod:`dpgo.consensus`: it owns the damping schedule and
@@ -17,14 +19,15 @@ converges fast, so later tries gain less still: from the seeded graphs of the
 tests, an ``ftol`` of 1e-14 takes two or three more tries and ends within
 1e-12 relative of the objective of the default ``ftol``, 1e-10.
 
-What depends only on the graph's edge arrays and the anchor is an
+What depends only on the graph's edge arrays, the anchor and the vertices
+that carry priors is an
 :class:`LMSystem`, built once for a solve or, by a caller that solves one
 graph repeatedly, once for all of its solves: the free vertex rows, a
 symmetric minimum-degree elimination order of the block graph of H as in
 square-root SAM (Dellaert and Kaess, IJRR 2006), the CSC pattern of the
 normal equations and the scatter indices into it in that order, and one
 damped CSC matrix whose values each factorization overwrites in place.
-H = JᵀJ is positive semidefinite, so H + mu I is positive definite for
+H = JᵀJ (plus the prior blocks SᵀS) is positive semidefinite, so H + mu I is positive definite for
 mu > 0 and elimination keeps the diagonal pivots and the order. The output
 graph shares the input's read-only arrays
 (:meth:`dpgo.graph.PoseGraph.with_estimates`), so the same system serves the
@@ -33,6 +36,7 @@ next solve on it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -41,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import wrap_angle
-from .graph import GraphError, PoseGraph, se2_residuals
+from .graph import GraphError, PoseGraph, _column, _ids, _reject, se2_residuals
 
 
 class SingularNormalEquations(GraphError):
@@ -85,6 +89,31 @@ class LMIterate:
     accepted: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Priors:
+    """Pulls ||sqrt_weights[k] @ (x (-) targets[k])||^2 on the pose x of vertex
+    ``vertices[k]``: ids (P,), target poses (P, 3) and square-root weights
+    (P, 3, 3) on the pose difference (dx, dy, dtheta), copied and validated
+    here; a non-finite row is rejected by its vertex, ``position`` ("prior", k)."""
+
+    vertices: np.ndarray
+    targets: np.ndarray
+    sqrt_weights: np.ndarray
+
+    def __post_init__(self):
+        vids = _ids(self.vertices, (np.size(self.vertices),), "prior vertex", "prior")
+        n = len(vids)
+        for name, shape in (("targets", (n, 3)), ("sqrt_weights", (n, 3, 3))):
+            arr = _column(getattr(self, name), float, shape, f"prior {name}")
+            bad = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
+            _reject(bad, "prior", lambda k: f"prior {name} on vertex {vids[k]} are not finite")
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "vertices", vids)
+
+
+_NO_PRIORS = Priors(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3, 3)))
+
+
 @dataclass
 class LMResult:
     graph: PoseGraph
@@ -109,6 +138,13 @@ def _jacobians(x, r, e_from, meas):
     return a, b
 
 
+def _prior_residuals(x, rows, targets, sqrt_w):
+    """Weighted prior residuals (P, 3): sqrt_weight @ (x (-) target)."""
+    d = x[rows] - targets
+    d[:, 2] = wrap_angle(d[:, 2])
+    return np.einsum("pij,pj->pi", sqrt_w, d)
+
+
 class _NormalEquations:
     """Normal equations ``H d = -g`` of the free variables of a graph.
 
@@ -118,24 +154,26 @@ class _NormalEquations:
     symmetric minimum-degree order of their block graph of H (one node per
     free vertex). Free vertex k becomes block ``perm[k]``. The CSC pattern of
     H (int32 indices, with an explicit diagonal entry for every free
-    variable) and the scatter indices of the Jacobian-product blocks into H's
-    ``data`` and of their gradient terms into g are built once, in that
-    order, so H, g and the step need no permutation later. Parallel edges are
-    summed by ``np.bincount``; terms on the anchor go to one trailing bin
-    that is dropped. ``factor`` refills the values of one stored CSC matrix
+    variable) and the scatter indices of the Jacobian-product blocks and of
+    the prior blocks on the vertex rows ``p_rows`` into H's ``data`` and of
+    their gradient terms into g are built once, in that order, so H, g and
+    the step need no permutation later. Duplicates (parallel edges, several
+    priors on one vertex) are summed by ``np.bincount``; terms on the anchor
+    go to one trailing bin that is dropped. ``factor`` refills the values of one stored CSC matrix
     of the interior, the leading ``n_inner`` variables; ``borders`` reads
     the separator columns.
     """
 
-    def __init__(self, free_of, n_free, e_from, e_to, n_last=0):
+    def __init__(self, free_of, n_free, e_from, e_to, n_last=0, p_rows=np.zeros(0, dtype=np.intp)):
         ends = free_of[np.stack([e_from, e_to], axis=1)]  # (E, 2): free index of source, target
+        fprior = free_of[p_rows]
         k = np.arange(3)
         free = np.arange(n_free)
-        # block row and column of every 3x3 term: per edge the 2x2 blocks of [A B]^T [A B];
-        # the trailing diagonal blocks only put the diagonal into the pattern
+        # block row and column of every 3x3 term: per edge the 2x2 blocks of [A B]^T [A B],
+        # then per prior (v, v); the trailing diagonal blocks only put the diagonal into the pattern
         n_edge = 4 * len(e_from)
-        bi = np.concatenate([np.repeat(ends, 2, axis=1).ravel(), free])
-        bj = np.concatenate([np.tile(ends, 2).ravel(), free])
+        bi = np.concatenate([np.repeat(ends, 2, axis=1).ravel(), fprior, free])
+        bj = np.concatenate([np.tile(ends, 2).ravel(), fprior, free])
         live = (bi >= 0) & (bj >= 0)
         blocks, which = np.unique(bj[live] * n_free + bi[live], return_inverse=True)
         col, row = np.divmod(blocks, n_free)
@@ -169,8 +207,9 @@ class _NormalEquations:
         h_pos = np.full((len(bi), 3, 3), self.nnz)
         h_pos[live] = pos[which]
         # edge terms come as (E, 6, 6) products: reorder blocks (e, s, t, i, j) to rows (e, s, i, t, j)
-        self.h_scatter = h_pos[:n_edge].reshape(-1, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4).ravel()
-        gv = np.append(self.perm, -1)[ends.ravel()]
+        edge_pos = h_pos[:n_edge].reshape(-1, 2, 2, 3, 3).transpose(0, 1, 3, 2, 4)
+        self.h_scatter = np.concatenate([edge_pos.ravel(), h_pos[n_edge : len(bi) - n_free].ravel()])
+        gv = np.append(self.perm, -1)[np.concatenate([ends.ravel(), fprior])]
         self.g_scatter = np.where(gv[:, None] >= 0, 3 * gv[:, None] + k, self.n).ravel()
         # the interior's entries are a prefix of each of its columns, since rows are sorted; without
         # separators (a central solve) they are all of H, and a slice spares factor a copy
@@ -187,14 +226,17 @@ class _NormalEquations:
         self._border = np.flatnonzero(border)
         self._border_at = self.indices[border] * (self.n - self.n_inner) + cols[border] - self.n_inner
 
-    def assemble(self, x, e_from, meas, r):
+    def assemble(self, x, e_from, meas, r, prior_h=(), prior_g=()):
         """H's CSC ``data`` and the gradient g at the pose array ``x``, from
-        the edge residuals ``r`` at ``x``."""
+        the edge residuals ``r`` at ``x`` and the terms of the priors on
+        ``p_rows``: their blocks SᵀS (P, 3, 3) and gradients Sᵀ r_p (P, 3)."""
         a, b = _jacobians(x, r, e_from, meas)
         jac = np.concatenate([a, b], axis=2)  # (E, 3, 6): [A B]
         jac_t = jac.transpose(0, 2, 1)
-        h = np.bincount(self.h_scatter, (jac_t @ jac).ravel(), minlength=self.nnz + 1)[: self.nnz]
-        g = np.bincount(self.g_scatter, (jac_t @ r[:, :, None]).ravel(), minlength=self.n + 1)[: self.n]
+        h_terms = np.concatenate([(jac_t @ jac).ravel(), np.ravel(prior_h)])
+        g_terms = np.concatenate([(jac_t @ r[:, :, None]).ravel(), np.ravel(prior_g)])
+        h = np.bincount(self.h_scatter, h_terms, minlength=self.nnz + 1)[: self.nnz]
+        g = np.bincount(self.g_scatter, g_terms, minlength=self.n + 1)[: self.n]
         return h, g
 
     def factor(self, h, mu):
@@ -215,39 +257,55 @@ class _NormalEquations:
 
 
 class LMSystem:
-    """The part of an LM solve that the graph's edge arrays and its anchor fix
-    (see the module docstring).
+    """The part of an LM solve that the graph's edge arrays, its anchor and
+    the vertices carrying priors fix (see the module docstring).
 
-    ``anchor`` is the anchor's row; ``free`` the vertex row of each block of
-    the step; ``neq`` the normal equations, None when nothing is free or
-    nothing is fitted. A system serves every :func:`lm_refine_full` call on a
-    graph with the same ``e_from``/``e_to`` objects (the graph it was built
-    from and the graphs LM returns from it) and the same anchor.
+    ``rows`` holds the anchor's row, then each prior vertex's row in order;
+    ``free`` the vertex row of each block of the step; ``neq`` the normal
+    equations, None when nothing is free or nothing is fitted; ``prior`` the
+    prior rows, targets and square-root weights that ``evaluate`` and
+    ``linearize`` fit, of zero weight until :meth:`fitting` sets them. A
+    system serves every :func:`lm_refine_full` call on a graph with the same
+    ``e_from``/``e_to`` objects (the graph it was built from and the graphs
+    LM returns from it), the same anchor and the same prior vertices in the
+    same order.
     """
 
-    def __init__(self, g: PoseGraph, anchor: int):
-        self.anchor = int(g.rows_of(anchor))
-        if self.anchor < 0:
+    def __init__(self, g: PoseGraph, anchor: int, prior_vertices=_NO_PRIORS.vertices):
+        rows = g.rows_of(np.append(anchor, prior_vertices))
+        if rows[0] < 0:
             raise GraphError(f"anchor {anchor} is not a vertex of the graph")
-        self.e_from, self.e_to, self.meas = g.e_from, g.e_to, g.meas
-        free = np.flatnonzero(np.arange(g.num_vertices) != self.anchor)
+        if (rows[1:] < 0).any():
+            raise GraphError(f"prior vertex {prior_vertices[int(np.argmax(rows[1:] < 0))]} is not a vertex of the graph")
+        self.e_from, self.e_to, self.meas, self.rows = g.e_from, g.e_to, g.meas, rows
+        self.prior = (rows[1:], np.zeros((len(rows) - 1, 3)), np.zeros((len(rows) - 1, 3, 3)))
+        free = np.flatnonzero(np.arange(g.num_vertices) != rows[0])
         self.neq = None
-        if len(free) and len(g.e_from):
+        if len(free) and (len(g.e_from) or len(rows) > 1):
             free_of = np.full(g.num_vertices, -1, dtype=np.intp)
             free_of[free] = np.arange(len(free))
-            self.neq = _NormalEquations(free_of, len(free), g.e_from, g.e_to)
+            self.neq = _NormalEquations(free_of, len(free), g.e_from, g.e_to, p_rows=rows[1:])
             free = free[np.argsort(self.neq.perm)]
         self.free = free
         self.fitted = self.neq is not None
 
-    def evaluate(self, x):
-        """The edge residuals (E, 3) and the objective at the pose array ``x``."""
-        r = se2_residuals(x[self.e_from], x[self.e_to], self.meas)
-        return r, float((r * r).sum())
+    def fitting(self, priors: Priors) -> LMSystem:
+        """A copy of this system that fits ``priors``, whose vertices it was built for."""
+        fit = copy.copy(self)
+        fit.prior = (self.rows[1:], priors.targets, priors.sqrt_weights)
+        return fit
 
-    def linearize(self, x, r):
+    def evaluate(self, x):
+        """The edge and weighted prior residuals and the objective at the pose array ``x``."""
+        r = se2_residuals(x[self.e_from], x[self.e_to], self.meas)
+        rp = _prior_residuals(x, *self.prior)
+        return (r, rp), float((r * r).sum()) + float((rp * rp).sum())
+
+    def linearize(self, x, state):
         """The gradient at ``x`` and the solve mu -> step of the damped normal equations."""
-        h, grad = self.neq.assemble(x, self.e_from, self.meas, r)
+        (r, rp), w = state, self.prior[2]
+        prior_h, prior_g = np.einsum("pji,pjk->pik", w, w), np.einsum("pji,pj->pi", w, rp)
+        h, grad = self.neq.assemble(x, self.e_from, self.meas, r, prior_h, prior_g)
         return grad, lambda mu: self.neq.factor(h, mu).solve(-grad)
 
 
@@ -315,21 +373,27 @@ def levenberg_marquardt(x: np.ndarray, cfg: LMConfig, system) -> tuple[np.ndarra
 
 
 def lm_refine_full(
-    g: PoseGraph, cfg: LMConfig | None = None, *, anchor: int | None = None, system: LMSystem | None = None
+    g: PoseGraph,
+    cfg: LMConfig | None = None,
+    *,
+    anchor: int | None = None,
+    priors: Priors = _NO_PRIORS,
+    system: LMSystem | None = None,
 ) -> LMResult:
     """Refine the estimates of ``g``; ``anchor`` defaults to the lowest vertex id.
 
-    ``system`` is an :class:`LMSystem` built for this graph and anchor, to
-    skip building one; passing it changes no number. A system built for
-    another graph or anchor is rejected.
+    ``system`` is an :class:`LMSystem` built for this graph, anchor and prior
+    vertices, to skip building one; passing it changes no number. A system
+    built for another graph, anchor or prior vertex set is rejected.
     """
     cfg = cfg or LMConfig()
     if anchor is None:
         anchor = int(g.vids[0])
-    system = system or LMSystem(g, anchor)
-    if not (system.e_from is g.e_from and system.e_to is g.e_to and system.anchor == g.rows_of(anchor)):
-        raise GraphError("the LMSystem was built for another graph or anchor")
-    x, iterates, stop = levenberg_marquardt(g.estimates.copy(), cfg, system)
+    system = system or LMSystem(g, anchor, priors.vertices)
+    rows = g.rows_of(np.append(anchor, priors.vertices))
+    if not (system.e_from is g.e_from and system.e_to is g.e_to and np.array_equal(system.rows, rows)):
+        raise GraphError("the LMSystem was built for another graph, anchor or prior vertex set")
+    x, iterates, stop = levenberg_marquardt(g.estimates.copy(), cfg, system.fitting(priors))
     return LMResult(g.with_estimates(x), iterates, stop)
 
 

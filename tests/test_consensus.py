@@ -83,10 +83,21 @@ def two_robot_toy(p0=0.8, p1=1.2, n0=4, n1=1, cycle=None):
     return part
 
 
-def test_zero_tries_return_the_chordal_start():
+@pytest.mark.parametrize(
+    "bad",
+    [{"ftol": float("nan")}, {"ftol": -1.0}, {"max_iters": float("nan")}],
+    ids=["tol_nan", "tol_negative", "max_iters_nan"],
+)
+def test_config_rejects_malformed_field(bad):
+    with pytest.raises(ValueError):
+        LMConfig(**bad)
+
+
+def test_config_accepts_boundary_values():
+    # no tries at all: the result is the chordal start
     g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=2))
     part = partition(g, 3)
-    res = admm_consensus(part, cfg=LMConfig(max_iters=0))
+    res = admm_consensus(part, cfg=LMConfig(max_iters=0, ftol=0.0))
     assert (res.iterations, res.stop, res.converged) == (0, "max_iters", False)
     start = chordal_start(part)
     assert np.array_equal(merge(res.partition, res.resolved).estimates, start.poses)
@@ -144,7 +155,15 @@ def test_accepted_tries_lower_the_summed_objective():
     accepted = [it.objective for it in res.iterates if it.accepted]
     f0 = objective(g.with_estimates(chordal_start(part).poses))
     assert accepted and all(b < a for a, b in zip([f0] + accepted[:-1], accepted))
-    assert res.disagreement == [0.0] * res.iterations
+
+
+def test_disagreement_tail_is_monotone():
+    # each separator has one value, so the disagreement is 0.0 on every try
+    g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=5))
+    res = admm_consensus(partition(g, 3), cfg=LMConfig(ftol=0.0))
+    assert res.stop == "floor" and res.disagreement == [0.0] * res.iterations
+    tail = res.disagreement[-10:]
+    assert all(b <= a for a, b in zip(tail, tail[1:]))
 
 
 def test_admm_leaves_input_partition_unchanged():
@@ -159,17 +178,29 @@ def test_admm_leaves_input_partition_unchanged():
     assert part.separators == separators
 
 
-def test_unconverged_result_is_the_last_accepted_try():
+def test_unconverged_result_is_the_best_rounds_snapshot():
     g = generate(GenSpec(n_robots=3, poses_per_robot=12, seed=6))
     part = partition(g, 3)
     res = admm_consensus(part, cfg=LMConfig(max_iters=2))
     assert (res.converged, res.stop, res.iterations) == (False, "max_iters", 2)
+    # LM accepts only a lower objective, so its last accepted try is its best
     merged = merge(res.partition, res.resolved)
-    assert math.isclose(objective(merged), res.iterates[-1].objective, rel_tol=1e-12)
+    best = min(it.objective for it in res.iterates if it.accepted)
+    assert math.isclose(objective(merged), best, rel_tol=1e-12)
+    assert best == res.iterates[-1].objective
     # every block holds the resolved pose of each of its separators
     for vid, blocks in res.partition.separators.items():
         for b in blocks:
             assert res.partition.subgraphs[b].vertices[vid].estimate == res.resolved[vid]
+
+
+def test_four_blocks_converge_to_the_objective_of_the_floor_stop():
+    # from the chordal start; with ftol 0 LM runs on to the rounding floor
+    part = partition(generate(GenSpec(n_robots=4, poses_per_robot=60, seed=0)), 4)
+    res, floor = (admm_consensus(part, cfg=LMConfig(ftol=ftol)) for ftol in (1e-10, 0.0))
+    assert res.converged and res.iterations == 6 and floor.stop == "floor"
+    f, f_floor = (objective(merge(r.partition, r.resolved)) for r in (res, floor))
+    assert abs(f / f_floor - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("poses, tries", [(60, 6), (250, 10)])

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from dpgo.geometry import Pose2, relative, wrap_angle
 from dpgo.graph import EdgeOrigin, GraphError, objective, se2_residuals
 from dpgo import refine
-from dpgo.refine import LMConfig, SingularNormalEquations, lm_refine, lm_refine_full
+from dpgo.refine import LMConfig, Priors, SingularNormalEquations, lm_refine, lm_refine_full
 from dpgo.synth import GenSpec, NOISE_PROFILES, generate, inject_outliers
 
 from conftest import edge, make_graph, rand_graph, rand_pose, vertex
@@ -117,28 +117,36 @@ def dense_normal_equations_case(rng, n_last=0):
     """A small solve's normal equations next to its dense Jacobian and residual.
 
     Vertex 0 is the anchor and (0, 1) touches it; (1, 2) and (2, 1) are
-    parallel. The dense Jacobian has no anchor columns, and its columns are
-    in the order of the normal equations. The last ``n_last`` free vertices
-    are ordered last.
+    parallel; vertex 2 carries both of them and two priors; the prior on the
+    anchor drops out. The dense Jacobian has no anchor columns, and its
+    columns are in the order of the normal equations. The last ``n_last``
+    free vertices are ordered last.
     """
-    from dpgo.refine import _NormalEquations, _jacobians
+    from dpgo.refine import _NormalEquations, _jacobians, _prior_residuals
 
     n = 5
     x = np.array([rand_pose(rng).as_vector() for _ in range(n)])
     e_from = np.array([0, 1, 2, 2, 3, 4])
     e_to = np.array([1, 2, 1, 3, 4, 1])
     meas = np.array([rand_pose(rng, 1.0).as_vector() for _ in e_from])
-    neq = _NormalEquations(np.array([-1, 0, 1, 2, 3]), n - 1, e_from, e_to, n_last)
+    p_rows = np.array([2, 2, 4, 0])
+    targets, sqrt_w = np.array([rand_pose(rng).as_vector() for _ in p_rows]), rng.normal(size=(len(p_rows), 3, 3))
+    neq = _NormalEquations(np.array([-1, 0, 1, 2, 3]), n - 1, e_from, e_to, n_last, p_rows)
     r = se2_residuals(x[e_from], x[e_to], meas)
-    h, g = neq.assemble(x, e_from, meas, r)
+    rp = _prior_residuals(x, p_rows, targets, sqrt_w)
+    prior_h, prior_g = np.einsum("pji,pjk->pik", sqrt_w, sqrt_w), np.einsum("pji,pj->pi", sqrt_w, rp)
+    h, g = neq.assemble(x, e_from, meas, r, prior_h, prior_g)
 
     a, b = _jacobians(x, r, e_from, meas)
-    jac = np.zeros((3 * len(e_from), 3 * n))
+    jac = np.zeros((3 * (len(e_from) + len(p_rows)), 3 * n))
     for e, (p, q) in enumerate(zip(e_from, e_to)):
         jac[3 * e : 3 * e + 3, 3 * p : 3 * p + 3] += a[e]
         jac[3 * e : 3 * e + 3, 3 * q : 3 * q + 3] += b[e]
+    for k, v in enumerate(p_rows):
+        row = 3 * (len(e_from) + k)
+        jac[row : row + 3, 3 * v : 3 * v + 3] = sqrt_w[k]
     jac = jac[:, 3:][:, (3 * np.argsort(neq.perm)[:, None] + np.arange(3)).ravel()]  # free vertex k is block perm[k]
-    return neq, h, g, jac, r.ravel()
+    return neq, h, g, jac, np.concatenate([r.ravel(), rp.ravel()])
 
 
 def test_normal_equations_match_dense_oracle(rng):
@@ -188,14 +196,16 @@ def test_block_order_fills_no_more_than_colamd():
 
 
 def test_one_system_serves_repeated_solves_bit_for_bit(rng):
-    # solves from perturbed starts on one graph, capped and uncapped
+    # solves from perturbed starts on one graph, capped and uncapped, with new prior targets each time
     g = generate(GenSpec(n_robots=2, poses_per_robot=15, seed=3, profile=NOISE_PROFILES["v2"]))
-    anchor = int(g.vids[3])
-    system = refine.LMSystem(g, anchor)
+    anchor, p_vids = int(g.vids[3]), [int(v) for v in g.vids[[0, 5, 9, 5, 3]]]
+    system = refine.LMSystem(g, anchor, p_vids)
     start = g
     for cfg in [LMConfig(max_iters=3), LMConfig(), LMConfig(max_iters=3), LMConfig(mu0=1.0)]:
-        fresh = lm_refine_full(start, cfg, anchor=anchor)
-        cached = lm_refine_full(start, cfg, anchor=anchor, system=system)
+        targets = start.estimates[start.rows_of(p_vids)] + rng.normal(scale=0.3, size=(len(p_vids), 3))
+        priors = Priors(p_vids, targets, np.broadcast_to(1.5 * np.eye(3), (len(p_vids), 3, 3)))
+        fresh = lm_refine_full(start, cfg, anchor=anchor, priors=priors)
+        cached = lm_refine_full(start, cfg, anchor=anchor, priors=priors, system=system)
         assert np.array_equal(cached.graph.estimates, fresh.graph.estimates)
         assert cached.iterates == fresh.iterates and cached.stop == fresh.stop
         assert any(it.accepted for it in cached.iterates)
@@ -204,14 +214,18 @@ def test_one_system_serves_repeated_solves_bit_for_bit(rng):
 
 def test_system_built_for_another_solve_is_rejected():
     g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
-    anchor = int(g.vids[2])
-    system = refine.LMSystem(g, anchor)
-    lm_refine_full(g, anchor=anchor, system=system)
+    anchor, p_vids = int(g.vids[2]), [int(g.vids[4]), int(g.vids[7])]
+    priors = Priors(p_vids, np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
+    system = refine.LMSystem(g, anchor, p_vids)
+    lm_refine_full(g, anchor=anchor, priors=priors, system=system)
     mismatched = [
-        (g, {"anchor": int(g.vids[1])}),
-        (g, {}),  # the default anchor, the lowest id
-        (g.copy(), {"anchor": anchor}),
-        (generate(GenSpec(n_robots=2, poses_per_robot=10, seed=1)), {"anchor": anchor}),
+        (g, {"anchor": int(g.vids[1]), "priors": priors}),
+        (g, {"priors": priors}),  # the default anchor, the lowest id
+        (g, {"anchor": anchor, "priors": Priors(p_vids[:1], np.zeros((1, 3)), np.eye(3)[None])}),
+        (g, {"anchor": anchor, "priors": Priors(p_vids[::-1], priors.targets, priors.sqrt_weights)}),
+        (g, {"anchor": anchor}),  # no priors
+        (g.copy(), {"anchor": anchor, "priors": priors}),
+        (generate(GenSpec(n_robots=2, poses_per_robot=10, seed=1)), {"anchor": anchor, "priors": priors}),
     ]
     for other, kwargs in mismatched:
         with pytest.raises(GraphError, match="built for another graph"):
@@ -289,6 +303,20 @@ def test_default_ftol_stops_off_the_rounding_floor():
         assert abs(f_default - f_tight) <= 1e-10 * f_tight
 
 
+def test_prior_factor_pulls_vertex_to_target():
+    g = make_graph(
+        [vertex(0, estimate=Pose2(0, 0, 0)), vertex(1, timestep=1, estimate=Pose2(1, 0, 0))],
+        [edge(0, 1, Pose2(1, 0, 0), np.eye(3), EdgeOrigin.ODOMETRY)],
+    )
+    target = np.array([1.5, 0.4, 0.3])  # (x, y, theta)
+    strong = 1e4 * np.eye(3)
+    res = lm_refine_full(g, cfg=LMConfig(max_iters=50), priors=Priors([1], target[None], strong[None]))
+    est = res.graph.vertices[1].estimate
+    assert abs(est.theta - 0.3) < 1e-3
+    assert abs(est.x - 1.5) < 1e-3
+    assert abs(est.y - 0.4) < 1e-3
+
+
 def test_weighted_objective_respected():
     g = three_pose_loop(noise=0.1, seed=4)
     out, log = lm_refine(g, LMConfig(max_iters=50))
@@ -314,6 +342,51 @@ def test_unknown_anchor_is_rejected():
     g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
     with pytest.raises(GraphError, match="anchor 999"):
         lm_refine_full(g, anchor=999)
+
+
+def test_prior_on_unknown_vertex_is_rejected():
+    g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
+    with pytest.raises(GraphError, match="prior vertex 999"):
+        lm_refine_full(g, priors=Priors([999], np.zeros((1, 3)), np.eye(3)[None]))
+
+
+def test_non_finite_prior_target_is_rejected():
+    with pytest.raises(GraphError, match="prior targets on vertex 3"):
+        Priors([3], [[0.0, math.nan, 0.0]], np.eye(3)[None])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_prior_weight_is_rejected_by_vertex(bad):
+    weights = np.stack([np.eye(3)] * 3)
+    weights[1, 2, 0] = bad
+    with pytest.raises(GraphError, match="prior sqrt_weights on vertex 7 are not finite") as exc:
+        Priors([2, 7, 9], np.zeros((3, 3)), weights)
+    assert exc.value.position == ("prior", 1)
+
+
+@pytest.mark.parametrize(
+    "vertices, targets, sqrt_weights, match",
+    [
+        ([2, 7], np.zeros((2, 2)), np.zeros((2, 3, 3)), r"prior targets must have shape \(2, 3\), got \(2, 2\)"),
+        ([2, 7], np.zeros((1, 3)), np.zeros((2, 3, 3)), r"prior targets must have shape \(2, 3\), got \(1, 3\)"),
+        ([2, 7], np.zeros((2, 3)), np.eye(3), r"prior sqrt_weights must have shape \(2, 3, 3\), got \(3, 3\)"),
+        ([2, 7], np.zeros((2, 3)), np.zeros((2, 3, 2)), r"prior sqrt_weights must have shape \(2, 3, 3\)"),
+        ([[2, 7]], np.zeros((2, 3)), np.zeros((2, 3, 3)), r"prior vertex must have shape \(2,\), got \(1, 2\)"),
+        ([2, 7.5], np.zeros((2, 3)), np.zeros((2, 3, 3)), "prior vertex 7.5 of prior row 1 is not an integer"),
+    ],
+    ids=["targets_width", "targets_rows", "weights_unstacked", "weights_width", "vertices_2d", "vertex_not_integer"],
+)
+def test_misshaped_prior_arrays_are_rejected(vertices, targets, sqrt_weights, match):
+    with pytest.raises(GraphError, match=match):
+        Priors(vertices, targets, sqrt_weights)
+
+
+def test_priors_are_copied_at_construction():
+    targets, weights = np.zeros((1, 3)), np.eye(3)[None].copy()
+    priors = Priors(np.array([4]), targets, weights)
+    targets[0, 0], weights[0, 0, 0] = math.nan, math.inf
+    assert np.isfinite(priors.targets).all() and np.isfinite(priors.sqrt_weights).all()
+
 
 CENTRAL_PINS = {
     # (objective, damping, accepted) of every try of lm_refine_full at the default LMConfig, and the stop
