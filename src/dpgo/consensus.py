@@ -95,8 +95,9 @@ class AdmmResult:
 
     @property
     def disagreement(self) -> list[float]:
-        """0.0 per try: each separator has one value, so the blocks never disagree."""
-        return [0.0] * len(self.iterates)
+        """0.0 per try, and at least one entry: each separator has one value, so
+        the blocks never disagree."""
+        return [0.0] * max(1, len(self.iterates))
 
 
 def information_weighted_mean(poses, infos, groups) -> np.ndarray:

@@ -19,24 +19,22 @@ converges fast, so later tries gain less still: from the seeded graphs of the
 tests, an ``ftol`` of 1e-14 takes two or three more tries and ends within
 1e-12 relative of the objective of the default ``ftol``, 1e-10.
 
-What depends only on the graph's edge arrays, the anchor and the vertices
-that carry priors is an
-:class:`LMSystem`, built once for a solve or, by a caller that solves one
+What depends only on the graph's edge arrays, the anchor and the priors is
+an :class:`LMSystem`, built once for a solve or, by a caller that solves one
 graph repeatedly, once for all of its solves: the free vertex rows, a
 symmetric minimum-degree elimination order of the block graph of H as in
 square-root SAM (Dellaert and Kaess, IJRR 2006), the CSC pattern of the
-normal equations and the scatter indices into it in that order, and one
-damped CSC matrix whose values each factorization overwrites in place.
-H = JᵀJ (plus the prior blocks SᵀS) is positive semidefinite, so H + mu I is positive definite for
-mu > 0 and elimination keeps the diagonal pivots and the order. The output
-graph shares the input's read-only arrays
-(:meth:`dpgo.graph.PoseGraph.with_estimates`), so the same system serves the
-next solve on it.
+normal equations and the scatter indices into it in that order, the prior
+blocks SᵀS, and one damped CSC matrix whose values each factorization
+overwrites in place. H = JᵀJ (plus the prior blocks) is positive
+semidefinite, so H + mu I is positive definite for mu > 0 and elimination
+keeps the diagonal pivots and the order. The output graph shares the input's
+read-only arrays (:meth:`dpgo.graph.PoseGraph.with_estimates`), so the same
+system serves the next solve on it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -93,8 +91,9 @@ class LMIterate:
 class Priors:
     """Pulls ||sqrt_weights[k] @ (x (-) targets[k])||^2 on the pose x of vertex
     ``vertices[k]``: ids (P,), target poses (P, 3) and square-root weights
-    (P, 3, 3) on the pose difference (dx, dy, dtheta), copied and validated
-    here; a non-finite row is rejected by its vertex, ``position`` ("prior", k)."""
+    (P, 3, 3) on the pose difference (dx, dy, dtheta), copied, validated and
+    made read-only here; a non-finite row is rejected by its vertex,
+    ``position`` ("prior", k)."""
 
     vertices: np.ndarray
     targets: np.ndarray
@@ -107,6 +106,7 @@ class Priors:
             arr = _column(getattr(self, name), float, shape, f"prior {name}")
             bad = ~np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
             _reject(bad, "prior", lambda k: f"prior {name} on vertex {vids[k]} are not finite")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "vertices", vids)
 
@@ -159,9 +159,9 @@ class _NormalEquations:
     their gradient terms into g are built once, in that order, so H, g and
     the step need no permutation later. Duplicates (parallel edges, several
     priors on one vertex) are summed by ``np.bincount``; terms on the anchor
-    go to one trailing bin that is dropped. ``factor`` refills the values of one stored CSC matrix
-    of the interior, the leading ``n_inner`` variables; ``borders`` reads
-    the separator columns.
+    go to one trailing bin that is dropped. ``factor`` refills the values of
+    one stored CSC matrix of the interior, the leading ``n_inner``
+    variables; ``borders`` reads the separator columns.
     """
 
     def __init__(self, free_of, n_free, e_from, e_to, n_last=0, p_rows=np.zeros(0, dtype=np.intp)):
@@ -258,27 +258,24 @@ class _NormalEquations:
 
 class LMSystem:
     """The part of an LM solve that the graph's edge arrays, its anchor and
-    the vertices carrying priors fix (see the module docstring).
+    its priors fix (see the module docstring).
 
     ``rows`` holds the anchor's row, then each prior vertex's row in order;
     ``free`` the vertex row of each block of the step; ``neq`` the normal
-    equations, None when nothing is free or nothing is fitted; ``prior`` the
-    prior rows, targets and square-root weights that ``evaluate`` and
-    ``linearize`` fit, of zero weight until :meth:`fitting` sets them. A
-    system serves every :func:`lm_refine_full` call on a graph with the same
+    equations, None when nothing is free or nothing is fitted. A system
+    serves every :func:`lm_refine_full` call on a graph with the same
     ``e_from``/``e_to`` objects (the graph it was built from and the graphs
-    LM returns from it), the same anchor and the same prior vertices in the
-    same order.
+    LM returns from it), the same anchor and the same ``priors`` object.
     """
 
-    def __init__(self, g: PoseGraph, anchor: int, prior_vertices=_NO_PRIORS.vertices):
-        rows = g.rows_of(np.append(anchor, prior_vertices))
+    def __init__(self, g: PoseGraph, anchor: int, priors: Priors = _NO_PRIORS):
+        rows = g.rows_of(np.append(anchor, priors.vertices))
         if rows[0] < 0:
             raise GraphError(f"anchor {anchor} is not a vertex of the graph")
         if (rows[1:] < 0).any():
-            raise GraphError(f"prior vertex {prior_vertices[int(np.argmax(rows[1:] < 0))]} is not a vertex of the graph")
-        self.e_from, self.e_to, self.meas, self.rows = g.e_from, g.e_to, g.meas, rows
-        self.prior = (rows[1:], np.zeros((len(rows) - 1, 3)), np.zeros((len(rows) - 1, 3, 3)))
+            raise GraphError(f"prior vertex {priors.vertices[np.argmax(rows[1:] < 0)]} is not a vertex of the graph")
+        self.e_from, self.e_to, self.meas, self.rows, self.priors = g.e_from, g.e_to, g.meas, rows, priors
+        self.prior_h = np.einsum("pji,pjk->pik", priors.sqrt_weights, priors.sqrt_weights)
         free = np.flatnonzero(np.arange(g.num_vertices) != rows[0])
         self.neq = None
         if len(free) and (len(g.e_from) or len(rows) > 1):
@@ -289,23 +286,17 @@ class LMSystem:
         self.free = free
         self.fitted = self.neq is not None
 
-    def fitting(self, priors: Priors) -> LMSystem:
-        """A copy of this system that fits ``priors``, whose vertices it was built for."""
-        fit = copy.copy(self)
-        fit.prior = (self.rows[1:], priors.targets, priors.sqrt_weights)
-        return fit
-
     def evaluate(self, x):
         """The edge and weighted prior residuals and the objective at the pose array ``x``."""
         r = se2_residuals(x[self.e_from], x[self.e_to], self.meas)
-        rp = _prior_residuals(x, *self.prior)
+        rp = _prior_residuals(x, self.rows[1:], self.priors.targets, self.priors.sqrt_weights)
         return (r, rp), float((r * r).sum()) + float((rp * rp).sum())
 
     def linearize(self, x, state):
         """The gradient at ``x`` and the solve mu -> step of the damped normal equations."""
-        (r, rp), w = state, self.prior[2]
-        prior_h, prior_g = np.einsum("pji,pjk->pik", w, w), np.einsum("pji,pj->pi", w, rp)
-        h, grad = self.neq.assemble(x, self.e_from, self.meas, r, prior_h, prior_g)
+        r, rp = state
+        prior_g = np.einsum("pji,pj->pi", self.priors.sqrt_weights, rp)
+        h, grad = self.neq.assemble(x, self.e_from, self.meas, r, self.prior_h, prior_g)
         return grad, lambda mu: self.neq.factor(h, mu).solve(-grad)
 
 
@@ -382,18 +373,18 @@ def lm_refine_full(
 ) -> LMResult:
     """Refine the estimates of ``g``; ``anchor`` defaults to the lowest vertex id.
 
-    ``system`` is an :class:`LMSystem` built for this graph, anchor and prior
-    vertices, to skip building one; passing it changes no number. A system
-    built for another graph, anchor or prior vertex set is rejected.
+    ``system`` is an :class:`LMSystem` built for this graph, anchor and
+    ``priors``, to skip building one; passing it changes no number. A system
+    built for another graph, anchor or priors is rejected.
     """
     cfg = cfg or LMConfig()
     if anchor is None:
         anchor = int(g.vids[0])
-    system = system or LMSystem(g, anchor, priors.vertices)
-    rows = g.rows_of(np.append(anchor, priors.vertices))
-    if not (system.e_from is g.e_from and system.e_to is g.e_to and np.array_equal(system.rows, rows)):
-        raise GraphError("the LMSystem was built for another graph, anchor or prior vertex set")
-    x, iterates, stop = levenberg_marquardt(g.estimates.copy(), cfg, system.fitting(priors))
+    system = system or LMSystem(g, anchor, priors)
+    same_graph = system.e_from is g.e_from and system.e_to is g.e_to
+    if not (same_graph and system.priors is priors and system.rows[0] == g.rows_of([anchor])[0]):
+        raise GraphError("the LMSystem was built for another graph, anchor or priors")
+    x, iterates, stop = levenberg_marquardt(g.estimates.copy(), cfg, system)
     return LMResult(g.with_estimates(x), iterates, stop)
 
 

@@ -108,7 +108,7 @@ def test_identical_duplicates_converge_immediately():
     res = admm_consensus(part)
     # the chordal start fits both chains exactly, so LM stops on the gradient before its first try
     assert res.converged and res.stop == "gtol"
-    assert res.iterations == 0
+    assert res.iterations == 0 and res.disagreement == [0.0]
     assert abs(res.resolved[10].x - 1.0) < 1e-9
 
 

@@ -196,33 +196,36 @@ def test_block_order_fills_no_more_than_colamd():
 
 
 def test_one_system_serves_repeated_solves_bit_for_bit(rng):
-    # solves from perturbed starts on one graph, capped and uncapped, with new prior targets each time
+    # solves from perturbed starts on one graph, capped and uncapped, with and without priors
     g = generate(GenSpec(n_robots=2, poses_per_robot=15, seed=3, profile=NOISE_PROFILES["v2"]))
     anchor, p_vids = int(g.vids[3]), [int(v) for v in g.vids[[0, 5, 9, 5, 3]]]
-    system = refine.LMSystem(g, anchor, p_vids)
-    start = g
-    for cfg in [LMConfig(max_iters=3), LMConfig(), LMConfig(max_iters=3), LMConfig(mu0=1.0)]:
-        targets = start.estimates[start.rows_of(p_vids)] + rng.normal(scale=0.3, size=(len(p_vids), 3))
-        priors = Priors(p_vids, targets, np.broadcast_to(1.5 * np.eye(3), (len(p_vids), 3, 3)))
-        fresh = lm_refine_full(start, cfg, anchor=anchor, priors=priors)
-        cached = lm_refine_full(start, cfg, anchor=anchor, priors=priors, system=system)
-        assert np.array_equal(cached.graph.estimates, fresh.graph.estimates)
-        assert cached.iterates == fresh.iterates and cached.stop == fresh.stop
-        assert any(it.accepted for it in cached.iterates)
-        start = cached.graph.with_estimates(cached.graph.estimates + rng.normal(scale=0.2, size=g.estimates.shape))
+    targets = g.estimates[g.rows_of(p_vids)] + rng.normal(scale=0.3, size=(len(p_vids), 3))
+    priors = Priors(p_vids, targets, np.broadcast_to(1.5 * np.eye(3), (len(p_vids), 3, 3)))
+    for kwargs in [{"anchor": anchor, "priors": priors}, {"anchor": anchor}]:
+        system = refine.LMSystem(g, **kwargs)
+        start = g
+        for cfg in [LMConfig(max_iters=3), LMConfig(), LMConfig(max_iters=3), LMConfig(mu0=1.0)]:
+            fresh = lm_refine_full(start, cfg, **kwargs)
+            cached = lm_refine_full(start, cfg, system=system, **kwargs)
+            assert np.array_equal(cached.graph.estimates, fresh.graph.estimates)
+            assert cached.iterates == fresh.iterates and cached.stop == fresh.stop
+            assert any(it.accepted for it in cached.iterates)
+            noise = rng.normal(scale=0.2, size=g.estimates.shape)
+            start = cached.graph.with_estimates(cached.graph.estimates + noise)
 
 
 def test_system_built_for_another_solve_is_rejected():
     g = generate(GenSpec(n_robots=2, poses_per_robot=10, seed=0))
     anchor, p_vids = int(g.vids[2]), [int(g.vids[4]), int(g.vids[7])]
     priors = Priors(p_vids, np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
-    system = refine.LMSystem(g, anchor, p_vids)
+    system = refine.LMSystem(g, anchor, priors)
     lm_refine_full(g, anchor=anchor, priors=priors, system=system)
     mismatched = [
         (g, {"anchor": int(g.vids[1]), "priors": priors}),
         (g, {"priors": priors}),  # the default anchor, the lowest id
         (g, {"anchor": anchor, "priors": Priors(p_vids[:1], np.zeros((1, 3)), np.eye(3)[None])}),
         (g, {"anchor": anchor, "priors": Priors(p_vids[::-1], priors.targets, priors.sqrt_weights)}),
+        (g, {"anchor": anchor, "priors": Priors(p_vids, priors.targets, priors.sqrt_weights)}),  # equal, not the same
         (g, {"anchor": anchor}),  # no priors
         (g.copy(), {"anchor": anchor, "priors": priors}),
         (generate(GenSpec(n_robots=2, poses_per_robot=10, seed=1)), {"anchor": anchor, "priors": priors}),
@@ -386,6 +389,7 @@ def test_priors_are_copied_at_construction():
     priors = Priors(np.array([4]), targets, weights)
     targets[0, 0], weights[0, 0, 0] = math.nan, math.inf
     assert np.isfinite(priors.targets).all() and np.isfinite(priors.sqrt_weights).all()
+    assert not (priors.targets.flags.writeable or priors.sqrt_weights.flags.writeable)
 
 
 CENTRAL_PINS = {
